@@ -18,8 +18,8 @@ from fractions import Fraction
 from .burnside import BurnsideElement
 from .degrees import linear_iso_degree, twisted_basic_degree
 from .errors import DegenerateParameterError
-from .groups import DihedralElement, GammaPrimeElement, SubgroupClassLattice
-from .reps import DressedIrrep, GIrrep, dressing_bit, fixed_dim, isotypic_irreps
+from .groups import DihedralElement, GammaPrimeElement, SubgroupClassLattice, gamma_prime_lattice
+from .reps import DressedIrrep, GIrrep, dressing_bit, fixed_dim, generated_group, isotypic_irreps
 from .spectrum import (
     CriticalPoint,
     IndexQuad,
@@ -29,7 +29,7 @@ from .spectrum import (
     index_sets,
     rho,
 )
-from .twisted import TwistedContext, TwistedSum, module_product
+from .twisted import TwistedContext, TwistedSum, module_product, twisted_context
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,12 @@ def folding_data(N: int, j: int):
     return ntilde, jtilde, h
 
 
-def _irrep_for(params_or_n, j: int) -> "DihedralIrrep":
-    n = params_or_n.N if isinstance(params_or_n, ModelParams) else params_or_n
-    return isotypic_irreps(n)[j]
+def _irrep_for(N: int, j: int) -> "DihedralIrrep":
+    return isotypic_irreps(N)[j]
 
 
-def _block_irrep(params: ModelParams, m: int, n: int, j: int) -> GIrrep:
-    return GIrrep(m, DressedIrrep(_irrep_for(params, j), dressing_bit(n)))
+def _block_irrep(N: int, m: int, n: int, j: int) -> GIrrep:
+    return GIrrep(m, DressedIrrep(_irrep_for(N, j), dressing_bit(n)))
 
 
 def maximal_orbit_generators(N: int, m: int, n: int, j: int) -> dict:
@@ -178,8 +177,6 @@ def maximal_orbit_generators(N: int, m: int, n: int, j: int) -> dict:
 
 def generators_to_type(ctx: TwistedContext, gens: OrbitGenerators, m: int):
     """Canonical twisted orbit type generated by an explicit generator list."""
-    from .reps import generated_group
-
     group = ctx.group
     closure = generated_group(gens.elements)
     members = set()
@@ -191,19 +188,22 @@ def generators_to_type(ctx: TwistedContext, gens: OrbitGenerators, m: int):
     return ctx.type_of(frozenset(members), phi, m)
 
 
-def symmetry_relations(kind: str, N: int, m: int, n: int, j: int):
+def symmetry_relations(gens: OrbitGenerators, *legacy):
     """Checkable relations induced by each maximal-type generator.
 
     A generator (z, kappa1, kappa2, d) fixes u exactly when
     kappa1 * u_{d^-1(i)}(t + arg z, kappa2 x) = u_i(t, x) for all i, t, x.
+    The older form symmetry_relations(kind, N, m, n, j) builds the
+    generators itself.
     """
-    gens = maximal_orbit_generators(N, m, n, j)[kind]
+    if isinstance(gens, str):
+        gens = maximal_orbit_generators(*legacy)[gens]
     out = []
     names = {0: "anti_periodicity", 1: "space_parity"}
     for pos, (turn, el) in enumerate(gens.elements):
         d = el.dihedral
         dinv = d.inverse()
-        perm = tuple(dinv.vertex(i) for i in range(N))
+        perm = tuple(dinv.vertex(i) for i in range(d.n))
         name = names.get(pos, None)
         if name is None:
             if d.ref:
@@ -224,12 +224,18 @@ def symmetry_relations(kind: str, N: int, m: int, n: int, j: int):
     return out
 
 
-def _twisted_context(lattice: SubgroupClassLattice) -> TwistedContext:
-    ctx = getattr(lattice, "_twisted_context", None)
-    if ctx is None:
-        ctx = TwistedContext(lattice)
-        lattice._twisted_context = ctx
-    return ctx
+def _signed_degree_sum(sets: IndexSets, params: ModelParams, point, ctx: TwistedContext):
+    """Sum of rho-signed twisted basic degrees over the vanishing modes."""
+    total = TwistedSum.zero(ctx)
+    contribs = []
+    for quad in sets.sigma0:
+        sign = rho(quad.m, quad.n, quad.j, quad.k, params, point)
+        contribs.append((quad, sign))
+        if sign:
+            total = total + sign * twisted_basic_degree(
+                _block_irrep(params.N, quad.m, quad.n, quad.j), ctx
+            )
+    return total, tuple(contribs)
 
 
 def local_invariant(
@@ -242,7 +248,6 @@ def local_invariant(
     """Full-mode invariant: negative-spectrum Burnside factor acting on the
     signed sum of twisted basic degrees over the vanishing modes."""
     alpha, beta = point
-    ctx = _twisted_context(lattice)
     sets = index_sets(alpha, beta, params, m_max, n_max, h_fixed=False)
     if not sets.b1_ok:
         raise DegenerateParameterError(
@@ -250,22 +255,14 @@ def local_invariant(
             "the full-mode invariant is undefined (anti-periodic mode still works)"
         )
     neg = [
-        (DressedIrrep(_irrep_for(params, jj), dressing_bit(nn)), 1)
+        (DressedIrrep(_irrep_for(params.N, jj), dressing_bit(nn)), 1)
         for nn, jj, _kk in sets.sigma_minus
     ]
     factor = linear_iso_degree(neg, lattice)
-    total = TwistedSum.zero(ctx)
-    contribs = []
-    for quad in sets.sigma0:
-        sign = rho(quad.m, quad.n, quad.j, quad.k, params, (alpha, beta))
-        contribs.append((quad, sign))
-        if sign:
-            total = total + sign * twisted_basic_degree(
-                _block_irrep(params, quad.m, quad.n, quad.j), ctx
-            )
+    total, contribs = _signed_degree_sum(sets, params, point, twisted_context(lattice))
     return BifurcationInvariant(
         value=module_product(factor, total),
-        contributions=tuple(contribs),
+        contributions=contribs,
         sigma_minus_factor=factor,
         sets=sets,
     )
@@ -280,19 +277,10 @@ def h_fixed_invariant(
 ) -> BifurcationInvariant:
     """Anti-periodic-mode invariant: odd foldings only, no stationary factor."""
     alpha, beta = point
-    ctx = _twisted_context(lattice)
     sets = index_sets(alpha, beta, params, m_max, n_max, h_fixed=True)
-    total = TwistedSum.zero(ctx)
-    contribs = []
-    for quad in sets.sigma0:
-        sign = rho(quad.m, quad.n, quad.j, quad.k, params, (alpha, beta))
-        contribs.append((quad, sign))
-        if sign:
-            total = total + sign * twisted_basic_degree(
-                _block_irrep(params, quad.m, quad.n, quad.j), ctx
-            )
+    total, contribs = _signed_degree_sum(sets, params, point, twisted_context(lattice))
     return BifurcationInvariant(
-        value=total, contributions=tuple(contribs), sigma_minus_factor=None, sets=sets
+        value=total, contributions=contribs, sigma_minus_factor=None, sets=sets
     )
 
 
@@ -300,8 +288,8 @@ def h_fixed_invariant(
 class PredictionReport:
     predictions: tuple
     withheld: tuple  # (CriticalPoint, reason) diagnostics
-    invariants: tuple = ()  # (CriticalPoint, BifurcationInvariant) pairs
-    context: TwistedContext = None
+    invariants: tuple  # (CriticalPoint, BifurcationInvariant) pairs
+    context: TwistedContext
 
 
 def predict_branches(
@@ -309,7 +297,6 @@ def predict_branches(
     m_max: int,
     n_max: int,
     mode: str = "global",
-    lattice: SubgroupClassLattice | None = None,
 ) -> PredictionReport:
     """Branch predictions at every windowed odd-folding critical point.
 
@@ -322,11 +309,8 @@ def predict_branches(
     """
     if mode not in ("local", "global"):
         raise ValueError("mode must be 'local' or 'global'")
-    if lattice is None:
-        from .groups import gamma_prime_lattice
-
-        lattice = gamma_prime_lattice(params.N)
-    ctx = _twisted_context(lattice)
+    lattice = gamma_prime_lattice(params.N)
+    ctx = twisted_context(lattice)
     points = enumerate_critical_points(params, m_max, n_max, odd_m_only=True)
 
     invariants = {}
@@ -369,9 +353,7 @@ def predict_branches(
                     kind=kind,
                     coeff=coeff,
                     generators=gens,
-                    relations=tuple(
-                        symmetry_relations(kind, params.N, s, cp.quad.n, cp.quad.j)
-                    ),
+                    relations=tuple(symmetry_relations(gens)),
                     unbounded=mode == "global",
                     non_stationary=True,
                 )
@@ -415,7 +397,7 @@ def prediction_report_json(
             cp.quad.m, cp.quad.n, cp.quad.j, cp.quad.k, params, (cp.alpha, cp.beta)
         )
         invariant = []
-        if cp in inv_map and report.context is not None:
+        if cp in inv_map:
             invariant = [
                 {"orbit_type": report.context.type_str(t), "coeff": v}
                 for t, v in inv_map[cp].value.coeffs

@@ -9,6 +9,7 @@ which keeps the two routes independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,27 +97,17 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     out: dict = {}
     for h, va in a.coeffs:
         for k, vb in b.coeffs:
-            for c, v in _generator_product(lat, h, k).items():
+            for c, v in _generator_product(lat, min(h, k), max(h, k)).items():
                 out[c] = out.get(c, 0) + va * vb * v
     return BurnsideElement.from_dict(lat, out)
 
 
-def _generator_product_cache(lat: SubgroupClassLattice) -> dict:
-    cache = getattr(lat, "_burnside_products", None)
-    if cache is None:
-        cache = {}
-        lat._burnside_products = cache
-    return cache
-
-
+@lru_cache(maxsize=None)
 def _generator_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
-    """(H)*(K) = sum n_L (L), n_L from the Weyl-weighted top-down recurrence."""
-    if h > k:
-        h, k = k, h
-    cache = _generator_product_cache(lat)
-    got = cache.get((h, k))
-    if got is not None:
-        return got
+    """(H)*(K) = sum n_L (L), n_L from the Weyl-weighted top-down recurrence.
+
+    Callers pass h <= k, so each unordered pair has one cache entry.
+    """
     n, w = lat.n_table, lat.weyl
     res: dict = {}
     for L in range(lat.n_classes):
@@ -130,7 +121,6 @@ def _generator_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
         c = num // w[L]
         if c:
             res[L] = c
-    cache[(h, k)] = res
     return res
 
 
@@ -164,8 +154,6 @@ def multiplication_table(lat: SubgroupClassLattice) -> dict:
         for col, (h, k) in enumerate(block):
             nz = np.nonzero(c[:, col])[0]
             out[(h, k)] = {int(L): int(c[L, col]) for L in nz}
-    cache = _generator_product_cache(lat)
-    cache.update(out)
     return out
 
 

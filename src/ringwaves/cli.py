@@ -3,8 +3,8 @@
 Subcommands: critical-points, predict, invariant, verify,
 export-eigenfunction, group-tables.  Options come from an optional JSON
 config file plus command-line overrides; the wave frequency is accepted only
-as a rational string "p/q".  Exit codes: 0 success, 2 degenerate-parameter
-rejection, 3 internal exactness failure.
+as a rational string "p/q".  Exit codes: 0 success, 1 invalid input,
+2 degenerate-parameter rejection, 3 internal exactness failure.
 """
 
 from __future__ import annotations
@@ -20,21 +20,26 @@ from pathlib import Path
 from .bifurcation import (
     h_fixed_invariant,
     local_invariant,
+    maximal_orbit_generators,
     predict_branches,
     prediction_report_json,
     symmetry_relations,
 )
 from .burnside import multiplication_table
-from .errors import DegenerateParameterError, ExactnessError
+from .errors import DegenerateParameterError, ExactnessError, RingwavesError
 from .groups import dihedral_group, gamma_prime_lattice
-from .reps import character_table, cycle_laplacian_eigendata
+from .reps import LaplacianEigendata, character_table, cycle_laplacian_eigendata
 from .spectrum import (
+    MU_ZERO_TOL,
     ModelParams,
+    critical_point,
     enumerate_critical_points,
     linear_curve,
     rho,
     sigmoid_curve,
+    table_curve,
 )
+from .twisted import twisted_context
 from . import verify as verify_mod
 
 SCHEMA_VERSION = "1"
@@ -61,7 +66,7 @@ def _parse_nu(text: str) -> Fraction:
 
 @dataclasses.dataclass
 class RunConfig:
-    nu: str = "1/1"
+    nu: str | int = "1/1"
     delta: float = 1.0
     tau: float = 2.0
     N: int = 3
@@ -81,7 +86,6 @@ class RunConfig:
     ring_radius: float = 0.1
     ring_points: int = 8
     characters: bool = False
-    mu_zero_tol: float = 1e-9
     symmetry_tol: float = 1e-12
     zeta_table: list | None = None  # [[alpha, value], ...] for the table curve
     eigendata: list | None = None  # [[j, z, multiplicity], ...] override
@@ -96,15 +100,11 @@ class RunConfig:
         elif self.zeta == "table":
             if not self.zeta_table:
                 raise ValueError("table coupling curve needs zeta_table points")
-            from .spectrum import table_curve
-
             curve = table_curve([tuple(p) for p in self.zeta_table])
         else:
             raise ValueError(f"unknown coupling curve {self.zeta!r}")
         eig = None
         if self.eigendata:
-            from .reps import LaplacianEigendata
-
             eig = LaplacianEigendata(
                 tuple((int(j), float(z), int(mult)) for j, z, mult in self.eigendata)
             )
@@ -113,18 +113,54 @@ class RunConfig:
         )
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "list": list}
+
+
+def _check_type(key: str, value, annotation: str):
+    """Reject a config value whose JSON type does not fit the field."""
+    names = annotation.split(" | ")
+    if value is None and "None" in names:
+        return
+    allowed = tuple(_JSON_TYPES[n] for n in names if n != "None")
+    if isinstance(value, bool) != ("bool" in names) or not isinstance(value, allowed):
+        raise ValueError(f"config key {key!r} must be {annotation}, got {value!r}")
+
+
+def _check_rows(key: str, rows, width: int):
+    for row in rows or ():
+        if not (isinstance(row, list) and len(row) == width
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)):
+            raise ValueError(f"config key {key!r} needs rows of {width} numbers, got {row!r}")
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}") from exc
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
         for key, value in data.items():
-            if not hasattr(cfg, key):
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
+            _check_type(key, value, types[key])
             setattr(cfg, key, value)
     for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name.replace("-", "_"), None)
+        value = getattr(args, field.name, None)
         if value is not None:
             setattr(cfg, field.name, value)
+    _check_rows("zeta_table", cfg.zeta_table, 2)
+    _check_rows("eigendata", cfg.eigendata, 3)
+    for row in cfg.eigendata or ():
+        j, _z, mult = row
+        if not (isinstance(j, int) and isinstance(mult, int)
+                and 0 <= j <= cfg.N // 2 and mult >= 1):
+            raise ValueError(f"eigendata row {row} needs an integer j in 0..{cfg.N // 2} "
+                             "and a positive integer multiplicity")
     return cfg
 
 
@@ -155,7 +191,7 @@ def cmd_critical_points(cfg: RunConfig) -> int:
         {
             "schema": SCHEMA_VERSION,
             "formulas": {k: FORMULA_TAGS[k] for k in ("alpha0", "beta0", "rho")},
-            "tolerances": {"mu_zero": cfg.mu_zero_tol},
+            "tolerances": {"mu_zero": MU_ZERO_TOL},
             "window": {"m_max": cfg.m_max, "n_max": cfg.n_max},
             "tau_near_pi_rational": params.tau_near_pi_rational,
             "critical_points": rows,
@@ -180,8 +216,6 @@ def cmd_invariant(cfg: RunConfig) -> int:
     if cfg.alpha is None or cfg.beta is None:
         if cfg.m is None or cfg.n is None or cfg.j is None:
             raise ValueError("invariant needs either (alpha, beta) or (m, n, j)")
-        from .spectrum import critical_point
-
         got = critical_point(cfg.m, cfg.n, cfg.j, 1, params)
         if got is None:
             raise DegenerateParameterError(
@@ -193,7 +227,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
     lattice = gamma_prime_lattice(params.N)
     fn = local_invariant if cfg.mode == "full" else h_fixed_invariant
     inv = fn(point, params, lattice, m_max=cfg.m_max, n_max=cfg.n_max)
-    ctx = lattice._twisted_context
+    ctx = twisted_context(lattice)
     _emit(
         {
             "schema": SCHEMA_VERSION,
@@ -210,7 +244,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
             ],
             "sigma_minus": list(inv.sets.sigma_minus),
             "formulas": {k: FORMULA_TAGS[k] for k in ("mu", "rho")},
-            "tolerances": {"mu_zero": cfg.mu_zero_tol},
+            "tolerances": {"mu_zero": MU_ZERO_TOL},
         },
         cfg.out,
     )
@@ -222,8 +256,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.alpha is not None and cfg.beta is not None:
         point = (cfg.alpha, cfg.beta)
     else:
-        from .spectrum import critical_point
-
         got = critical_point(cfg.m or 1, cfg.n or 1, cfg.j or 0, 1, params)
         if got is None:
             raise DegenerateParameterError("no critical point at the given indices")
@@ -271,7 +303,7 @@ def cmd_export_eigenfunction(cfg: RunConfig) -> int:
     params = cfg.params()
     m, n, j = cfg.m or 1, cfg.n or 1, cfg.j or 0
     grid = verify_mod.eigenfunction(params.N, m, n, j, cfg.kind, cfg.grid_t, cfg.grid_x)
-    rels = symmetry_relations(cfg.kind, params.N, m, n, j)
+    rels = symmetry_relations(maximal_orbit_generators(params.N, m, n, j)[cfg.kind])
     checks = verify_mod.symmetry_check(grid, rels, tol=cfg.symmetry_tol)
     if not all(r["pass"] for r in checks.values()):
         raise ExactnessError("exported eigenfunction violates its own relations")
@@ -383,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ring-radius", dest="ring_radius", type=float)
     parser.add_argument("--ring-points", dest="ring_points", type=int)
     parser.add_argument("--characters", action="store_const", const=True)
-    parser.add_argument("--mu-zero-tol", dest="mu_zero_tol", type=float)
     parser.add_argument("--symmetry-tol", dest="symmetry_tol", type=float)
     parser.add_argument("--out")
     return parser
@@ -401,7 +432,7 @@ def main(argv=None) -> int:
     except ExactnessError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, RingwavesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

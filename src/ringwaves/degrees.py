@@ -9,6 +9,8 @@ are the maximal isotropy types of W_m (x) V away from the origin.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .burnside import BurnsideElement
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice
@@ -31,16 +33,9 @@ def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
     return dims
 
 
+@lru_cache(maxsize=None)
 def basic_degree(rep: DressedIrrep, lattice: SubgroupClassLattice) -> BurnsideElement:
     """Degree of minus-identity on the unit ball of the dressed irrep."""
-    cache = getattr(lattice, "_basic_degrees", None)
-    if cache is None:
-        cache = {}
-        lattice._basic_degrees = cache
-    key = rep.label
-    got = cache.get(key)
-    if got is not None:
-        return got
     dims = _class_fixed_dims(lattice, rep)
     n, w = lattice.n_table, lattice.weyl
     res: dict = {}
@@ -53,9 +48,7 @@ def basic_degree(rep: DressedIrrep, lattice: SubgroupClassLattice) -> BurnsideEl
         c = num // w[h]
         if c:
             res[h] = c
-    out = BurnsideElement.from_dict(lattice, res)
-    cache[key] = out
-    return out
+    return BurnsideElement.from_dict(lattice, res)
 
 
 def linear_iso_degree(neg_spectrum, lattice: SubgroupClassLattice) -> BurnsideElement:
@@ -92,23 +85,17 @@ def twisted_fixed_dim(ctx: TwistedContext, kphi: int, rep: DressedIrrep) -> int:
     return dim
 
 
+@lru_cache(maxsize=None)
 def _positive_dim_types(ctx: TwistedContext, rep: DressedIrrep):
-    cache = getattr(ctx, "_posdim_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._posdim_cache = cache
-    got = cache.get(rep.label)
-    if got is not None:
-        return got
     out = []
     for kphi in range(ctx.n_types):
         d = twisted_fixed_dim(ctx, kphi, rep)
         if d > 0:
             out.append((kphi, d))
-    cache[rep.label] = out
     return out
 
 
+@lru_cache(maxsize=None)
 def twisted_basic_degree(rep: GIrrep, ctx: TwistedContext) -> TwistedSum:
     """Twisted basic degree of W_m (x) V_j^i for m >= 1.
 
@@ -119,13 +106,6 @@ def twisted_basic_degree(rep: GIrrep, ctx: TwistedContext) -> TwistedSum:
     """
     if rep.m < 1:
         raise ValueError("twisted basic degrees need folding m >= 1")
-    cache = getattr(ctx, "_twisted_degrees", None)
-    if cache is None:
-        cache = {}
-        ctx._twisted_degrees = cache
-    got = cache.get(rep.label)
-    if got is not None:
-        return got
     m = rep.m
     res: dict = {}
     # context class ids are sorted by descending |K|: top-down order
@@ -143,9 +123,7 @@ def twisted_basic_degree(rep: GIrrep, ctx: TwistedContext) -> TwistedSum:
         c = num2 // den2
         if c:
             res[t] = c
-    out = TwistedSum.from_dict(ctx, {(t.kphi, t.l): v for t, v in res.items()})
-    cache[rep.label] = out
-    return out
+    return TwistedSum.from_dict(ctx, {(t.kphi, t.l): v for t, v in res.items()})
 
 
 def isotropy_types(rep: GIrrep, ctx: TwistedContext):

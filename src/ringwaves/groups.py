@@ -134,9 +134,13 @@ class FiniteGroup:
             k += 1
         return k
 
-    def closure(self, seed) -> frozenset:
-        """Subgroup generated by the given element indices."""
-        elems = {self.identity}
+    def closure(self, seed, base=None) -> frozenset:
+        """Subgroup generated by `base` and the element indices in `seed`.
+
+        `base` must already be a subgroup (default: the trivial group); only
+        products with newly found elements can then create new elements.
+        """
+        elems = set(base) if base is not None else {self.identity}
         frontier = [g for g in dict.fromkeys(seed) if g not in elems]
         elems.update(frontier)
         tab = self.table
@@ -156,6 +160,15 @@ class FiniteGroup:
                         new.append(c)
             frontier = new
         return frozenset(elems)
+
+    def generators(self, members) -> list:
+        """Greedy generating set: each member not generated by earlier picks."""
+        gens, have = [], frozenset({self.identity})
+        for x in members:
+            if x not in have:
+                gens.append(x)
+                have = self.closure([x], base=have)
+        return gens
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -233,35 +246,12 @@ def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
                 if union in seen_unions:
                     continue
                 seen_unions.add(union)
-                k = _closure_of_union(group, h, c)
+                k = group.closure(c, base=h)
                 if k not in subs:
                     subs.add(k)
                     new.append(k)
         frontier = new
     return sorted((Subgroup.from_set(s) for s in subs), key=lambda s: (s.order, s.elems))
-
-
-def _closure_of_union(group: FiniteGroup, h: frozenset, c: frozenset) -> frozenset:
-    # h and c are already closed; only cross products can create new elements.
-    elems = set(h | c)
-    frontier = list(c - h)
-    tab = group.table
-    while frontier:
-        new = []
-        snapshot = list(elems)
-        for a in snapshot:
-            row = tab[a]
-            for b in frontier:
-                x = row[b]
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-                x = tab[b][a]
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-        frontier = new
-    return frozenset(elems)
 
 
 class SubgroupClassLattice:
@@ -310,15 +300,14 @@ class SubgroupClassLattice:
         self.class_of_subgroup = [remap[c] for c in class_of_sub]
         self.n_classes = len(self.classes)
 
-        self.weyl = [self._weyl_order(rep) for rep in self.reps]
+        # orbit-stabilizer: |N(H)| = |G| / (class size), |W(H)| = |N(H)| / |H|
+        self.weyl = []
+        for ids, rep in zip(self.classes, self.reps):
+            norm, r = divmod(group.order, len(ids))
+            if r or norm % rep.order:
+                raise AssertionError("normalizer order not divisible by subgroup order")
+            self.weyl.append(norm // rep.order)
         self.n_table = self._build_n_table()
-
-    def _weyl_order(self, sub: Subgroup) -> int:
-        g = self.group
-        norm = sum(1 for x in range(g.order) if g.conj_set(x, sub.elems) == sub.members)
-        if norm % sub.order:
-            raise AssertionError("normalizer order not divisible by subgroup order")
-        return norm // sub.order
 
     def _build_n_table(self):
         """n[h][k] = number of conjugates of the class-k rep that contain rep h."""
@@ -386,7 +375,7 @@ def subgroup_count_oracle(group: FiniteGroup, max_generators: int = 2) -> int:
             for b in subs:
                 if a >= b:
                     continue
-                j = _closure_of_union(group, a, b)
+                j = group.closure(b, base=a)
                 if j not in subs:
                     new.add(j)
         if not new:

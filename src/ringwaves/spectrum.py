@@ -100,9 +100,6 @@ def table_curve(points) -> CouplingCurve:
     return CouplingCurve("user-table", ev, dv, inv, (float(vlo), float(vhi)))
 
 
-COUPLING_FACTORIES = {"sigmoid": sigmoid_curve, "linear": linear_curve}
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Fixed model data: rational wave frequency, damping, delay, ring size."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .burnside import BurnsideElement
@@ -68,16 +69,7 @@ def hom_to_circle(group, members) -> list[dict]:
     when globally consistent.
     """
     members = sorted(members)
-    mset = frozenset(members)
-    # greedy generating set
-    gens = []
-    have = group.closure([])
-    for x in members:
-        if x not in have:
-            gens.append(x)
-            have = group.closure(list(have) + [x])
-            if have == mset:
-                break
+    gens = group.generators(members)
     if not gens:  # trivial subgroup
         return [{group.identity: Fraction(0)}]
 
@@ -136,7 +128,7 @@ class TwistedContext:
     def __init__(self, lattice: SubgroupClassLattice):
         self.lattice = lattice
         self.group = lattice.group
-        self._classes = []  # canonical keys: (neg order, K tuple, phi tuple)
+        self._classes = []  # canonical keys: (K tuple, phi tuple)
         self._class_ids = {}
         self._conjugates = []  # per class: list of (frozenset K, phi dict)
         self._weyl = []
@@ -146,20 +138,8 @@ class TwistedContext:
 
     # -- construction ------------------------------------------------------
 
-    def _canonical_key(self, members, phi: dict):
-        g = self.group
-        tab, inv = g.table, g.inverse
-        best = None
-        for c in range(g.order):
-            ci = inv[c]
-            row = tab[c]
-            conj_pairs = sorted((tab[row[k]][ci], t) for k, t in phi.items())
-            key = (tuple(p for p, _ in conj_pairs), tuple(t for _, t in conj_pairs))
-            if best is None or key < best:
-                best = key
-        return best
-
-    def _conjugate_orbit(self, members, phi: dict):
+    def _conjugate_orbit(self, phi: dict) -> dict:
+        """Gamma'-orbit of (K, phi): {(K tuple, phi tuple): (K set, phi dict)}."""
         g = self.group
         tab, inv = g.table, g.inverse
         seen = {}
@@ -170,40 +150,35 @@ class TwistedContext:
             key = (tuple(sorted(pairs)), tuple(t for _, t in sorted(pairs.items())))
             if key not in seen:
                 seen[key] = (frozenset(pairs), pairs)
-        return list(seen.values())
+        return seen
+
+    def _canonical_key(self, phi: dict):
+        return min(self._conjugate_orbit(phi))
 
     def _build(self):
         lat = self.lattice
-        found = {}
+        found = {}  # canonical key -> (K class, orbit)
         for kclass in range(lat.n_classes):
             rep = lat.reps[kclass]
+            seen = set()  # orbit keys already met from this K
             for phi in hom_to_circle(self.group, rep.elems):
-                key = self._canonical_key(rep.members, phi)
-                if key not in found:
-                    found[key] = (kclass, rep.members, phi)
-        ordered = sorted(found, key=lambda key: (-len(key[0]), key))
-        for key in ordered:
-            kclass, members, phi = found[key]
-            cid = len(self._classes)
+                own = (rep.elems, tuple(phi[k] for k in rep.elems))
+                if own in seen:
+                    continue
+                orbit = self._conjugate_orbit(phi)
+                seen.update(orbit)
+                found[min(orbit)] = (kclass, orbit)
+        for key in sorted(found, key=lambda key: (-len(key[0]), key)):
+            kclass, orbit = found[key]
+            # orbit-stabilizer: the phi-preserving normalizer has order |G| / |orbit|
+            stab, r = divmod(self.group.order, len(orbit))
+            if r or stab % len(key[0]):
+                raise ExactnessError("phi-stabilizer order not divisible by |K|")
+            self._class_ids[key] = len(self._classes)
             self._classes.append(key)
-            self._class_ids[key] = cid
             self._kclass.append(kclass)
-            orbit = self._conjugate_orbit(members, phi)
-            self._conjugates.append(orbit)
-            self._weyl.append(self._weyl_t(members, phi))
-
-    def _weyl_t(self, members, phi: dict) -> int:
-        g = self.group
-        tab, inv = g.table, g.inverse
-        count = 0
-        for c in range(g.order):
-            ci = inv[c]
-            row = tab[c]
-            if all(phi.get(tab[row[k]][ci]) == t for k, t in phi.items()):
-                count += 1
-        if count % len(members):
-            raise ExactnessError("phi-stabilizer order not divisible by |K|")
-        return count // len(members)
+            self._conjugates.append(list(orbit.values()))
+            self._weyl.append(stab // len(key[0]))
 
     # -- queries -----------------------------------------------------------
 
@@ -212,7 +187,7 @@ class TwistedContext:
         return len(self._classes)
 
     def canonicalize(self, sub: TwistedSubgroup) -> TwistedOrbitType:
-        key = self._canonical_key(sub.members, sub.phi_dict())
+        key = self._canonical_key(sub.phi_dict())
         return TwistedOrbitType(self._class_ids[key], sub.l)
 
     def type_of(self, members, phi: dict, l: int) -> TwistedOrbitType:
@@ -238,27 +213,8 @@ class TwistedContext:
         kphi = t.kphi if isinstance(t, TwistedOrbitType) else t
         return self._weyl[kphi]
 
-    def _n_same_phase(self, kphi1: int, kphi2: int) -> int:
-        """Count of class-kphi2 pairs (K', phi') with K1 <= K', phi'|K1 = phi1."""
-        got = self._n_cache.get((kphi1, kphi2))
-        if got is not None:
-            return got
-        k1, t1 = self._classes[kphi1][0], self._classes[kphi1][1]
-        phi1 = dict(zip(k1, t1))
-        k1set = frozenset(k1)
-        count = 0
-        for members, phi in self._conjugates[kphi2]:
-            if k1set <= members and all(phi[k] == t for k, t in phi1.items()):
-                count += 1
-        self._n_cache[(kphi1, kphi2)] = count
-        return count
-
-    def subconjugate(self, h: TwistedOrbitType, l_type: TwistedOrbitType):
-        """(H) <= (L) test plus the count n(H, L) of containing conjugates."""
-        n = self.n_t(h, l_type)
-        return n > 0, n
-
     def n_t(self, h: TwistedOrbitType, l_type: TwistedOrbitType) -> int:
+        """n(H, L): conjugates of L containing H; (H) <= (L) iff it is > 0."""
         if h.l == 0:
             if l_type.l != 0:
                 return 0
@@ -268,36 +224,32 @@ class TwistedContext:
             return self._n_product_contain(h.kphi, l_type.kphi)
         if l_type.l % h.l:
             return 0
-        power = l_type.l // h.l
-        if power == 1:
-            return self._n_same_phase(h.kphi, l_type.kphi)
-        return self._n_power_phase(h.kphi, l_type.kphi, power)
+        return self._n_power_phase(h.kphi, l_type.kphi, l_type.l // h.l)
 
     def _n_product_contain(self, kphi1: int, kphi2: int) -> int:
         k1set = frozenset(self._classes[kphi1][0])
         return sum(1 for members, _ in self._conjugates[kphi2] if k1set <= members)
 
     def _n_power_phase(self, kphi1: int, kphi2: int, power: int) -> int:
-        k1, t1 = self._classes[kphi1][0], self._classes[kphi1][1]
-        want = {k: (t * power) % 1 for k, t in zip(k1, t1)}
+        """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1."""
+        got = self._n_cache.get((kphi1, kphi2, power))
+        if got is not None:
+            return got
+        k1, t1 = self._classes[kphi1]
+        if power > 1:  # turns are stored mod 1, so power 1 needs no arithmetic
+            t1 = [(t * power) % 1 for t in t1]
+        want = dict(zip(k1, t1))
         k1set = frozenset(k1)
         count = 0
         for members, phi in self._conjugates[kphi2]:
             if k1set <= members and all(phi[k] == t for k, t in want.items()):
                 count += 1
+        self._n_cache[(kphi1, kphi2, power)] = count
         return count
 
     def generating_set(self, t: TwistedOrbitType):
         """Small generating set of the representative's K, for display."""
-        key = self._classes[t.kphi][0]
-        g = self.group
-        gens = []
-        have = g.closure([])
-        for x in key:
-            if x not in have:
-                gens.append(x)
-                have = g.closure(list(have) + [x])
-        return gens
+        return self.group.generators(self._classes[t.kphi][0])
 
     def type_str(self, t: TwistedOrbitType) -> str:
         key = self._classes[t.kphi]
@@ -399,14 +351,14 @@ def module_product(a: BurnsideElement, b: TwistedSum) -> TwistedSum:
     return TwistedSum.from_dict(ctx, out)
 
 
+@lru_cache(maxsize=None)
+def twisted_context(lattice: SubgroupClassLattice) -> TwistedContext:
+    """The (K, phi)-classes over `lattice`, built once per lattice."""
+    return TwistedContext(lattice)
+
+
+@lru_cache(maxsize=None)
 def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitType):
-    cache = getattr(ctx, "_module_products", None)
-    if cache is None:
-        cache = {}
-        ctx._module_products = cache
-    got = cache.get((kcls, h))
-    if got is not None:
-        return got
     lat = ctx.lattice
     wk = lat.weyl[kcls]
     wh = ctx.weyl_t(h)
@@ -432,7 +384,6 @@ def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitTyp
         c = num // den
         if c:
             res[t] = c
-    cache[(kcls, h)] = res
     return res
 
 

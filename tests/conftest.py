@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from ringwaves.bifurcation import _twisted_context
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
+from ringwaves.twisted import twisted_context
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +18,7 @@ def lat3():
 
 @pytest.fixture(scope="session")
 def ctx3(lat3):
-    return _twisted_context(lat3)
+    return twisted_context(lat3)
 
 
 @pytest.fixture(scope="session")
@@ -28,4 +28,4 @@ def lat7():
 
 @pytest.fixture(scope="session")
 def ctx7(lat7):
-    return _twisted_context(lat7)
+    return twisted_context(lat7)

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from ringwaves.bifurcation import (
-    _twisted_context,
     generators_to_type,
+    maximal_orbit_generators,
     predict_branches,
     symmetry_relations,
 )
@@ -42,7 +42,7 @@ from ringwaves.spectrum import (
     winding_oracle,
     xi_lower_bound_constant,
 )
-from ringwaves.twisted import quotient_weyl_oracle
+from ringwaves.twisted import quotient_weyl_oracle, twisted_context
 from ringwaves.verify import (
     assemble,
     eigenfunction,
@@ -91,7 +91,7 @@ def test_criterion_03_twisted_maximal_coefficients():
     ok = True
     for n in range(3, 8):
         lat = gamma_prime_lattice(n)
-        ctx = _twisted_context(lat)
+        ctx = twisted_context(lat)
         for ir in character_table(n):
             for bit in (0, 1):
                 for m in (1, 2, 3):
@@ -254,7 +254,7 @@ def test_criterion_10_eigenfunction_symmetries():
     ok = True
     for kind in ("H", "T", "S"):
         grid = eigenfunction(7, 1, 1, 1, kind, 256, 128)
-        rels = symmetry_relations(kind, 7, 1, 1, 1)
+        rels = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)[kind])
         res = symmetry_check(grid, rels, tol=1e-12)
         if not all(r["pass"] for r in res.values()):
             ok = False

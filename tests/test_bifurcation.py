@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,8 @@ from ringwaves.spectrum import (
     linear_curve,
     rho,
 )
-from ringwaves.twisted import TwistedSum, module_product
+from ringwaves.groups import gamma_prime_lattice
+from ringwaves.twisted import TwistedSum, module_product, twisted_context
 
 
 @pytest.fixture()
@@ -163,7 +166,7 @@ def test_kind_availability():
 
 
 def test_symmetry_relations_shapes():
-    rels = symmetry_relations("H", 3, 1, 1, 0)
+    rels = symmetry_relations(maximal_orbit_generators(3, 1, 1, 0)["H"])
     names = [r.name for r in rels]
     assert names[0] == "anti_periodicity"
     assert rels[0].sign == -1 and rels[0].t_shift_turns == Fraction(1, 2)
@@ -171,11 +174,11 @@ def test_symmetry_relations_shapes():
     assert rels[1].x_flip and rels[1].sign == 1  # odd n: even profile
     # j = 0: all component permutations act trivially on the prediction
     assert any(r.perm != tuple(range(3)) for r in rels)
-    rels_t = symmetry_relations("T", 7, 1, 1, 1)
+    rels_t = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)["T"])
     assert any(r.name == "reflection" and r.t_shift_turns == 0 for r in rels_t)
-    rels_s = symmetry_relations("S", 7, 1, 1, 1)
+    rels_s = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)["S"])
     assert any(r.name == "reflection" and r.t_shift_turns == Fraction(1, 2) for r in rels_s)
-    rels_h = symmetry_relations("H", 7, 1, 1, 1)
+    rels_h = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)["H"])
     assert any(r.name == "traveling_wave" for r in rels_h)
     # anti-periodicity present for every kind
     for rels_k in (rels, rels_t, rels_s, rels_h):
@@ -247,3 +250,27 @@ def test_h_fixed_zero_at_even_only_point(params, lat3, ctx3):
     inv = h_fixed_invariant(cp2, params, lat3, 5, 5)
     assert inv.value == TwistedSum.zero(ctx3)
     assert inv.contributions == ()
+
+
+def test_concurrent_calls_agree_and_leave_structures_unchanged(params):
+    lattice = gamma_prime_lattice(3)
+    ctx = twisted_context(lattice)
+    keys = (set(vars(lattice)), set(vars(ctx)))
+    cp = critical_point(3, 4, 1, 1, params)
+
+    def work(_):
+        report = predict_branches(params, 3, 3)
+        inv = local_invariant(cp, params, lattice, 5, 5)
+        return prediction_report_json(params, 3, 3, report), inv
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, i) for i in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    assert results[0][0]["critical_points"] and results[0][1].sets.sigma_minus
+    assert (set(vars(lattice)), set(vars(ctx))) == keys

@@ -182,3 +182,26 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
     rows = json.loads(out)["critical_points"]
     # the duplicated isotypic block appears once per multiplicity index
     assert [(r["j"], r["k"]) for r in rows] == [(0, 1), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["predict", "--N", "30"], None),
+        ([], [1, 2]),
+        (["--config", "missing.json"], None),
+        ([], {"N": "4"}),
+        (["--m-max", "1", "--n-max", "1"], {"N": 4, "eigendata": [[5, 1.0, 1]]}),
+    ],
+    ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index"],
+)
+def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", "cfg.json"] + argv
+    if argv[0] != "predict":
+        argv = ["predict"] + argv
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -18,6 +18,7 @@ from ringwaves.twisted import (
     module_product,
     module_product_oracle,
     quotient_weyl_oracle,
+    twisted_context,
     _module_generator_product,
 )
 
@@ -73,11 +74,11 @@ def test_subconjugation_reflexive_and_trivial(lat3, ctx3):
     sub, r = reflection_subgroup(lat3, 0)
     phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
     t = ctx3.type_of(sub, phi, 1)
-    ok, n = ctx3.subconjugate(t, t)
-    assert ok and n == 1
+    n = ctx3.n_t(t, t)
+    assert n == 1
     triv = ctx3.type_of(frozenset({lat3.group.identity}), {lat3.group.identity: Fraction(0)}, 1)
-    ok, n = ctx3.subconjugate(triv, t)
-    assert ok and n >= 1
+    n = ctx3.n_t(triv, t)
+    assert n >= 1
 
 
 def test_incompatible_foldings(lat3, ctx3):
@@ -173,11 +174,10 @@ def test_fold_preimage_elementwise(lat3, ctx3):
 
 def test_maximal_fold_separation(ctx3):
     # the same finite data at different foldings is never identified
-    from ringwaves.bifurcation import _twisted_context
     from ringwaves.groups import gamma_prime_lattice
 
     for n_ring in (3, 4, 6):
-        ctx = ctx3 if n_ring == 3 else _twisted_context(gamma_prime_lattice(n_ring))
+        ctx = ctx3 if n_ring == 3 else twisted_context(gamma_prime_lattice(n_ring))
         for j, ir in enumerate(character_table(n_ring)):
             if ir.dim != 2:
                 continue

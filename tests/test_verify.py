@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringwaves.bifurcation import symmetry_relations
+from ringwaves.bifurcation import maximal_orbit_generators, symmetry_relations
 from ringwaves.spectrum import ModelParams, critical_point
 from ringwaves.verify import (
     GridFunction,
@@ -99,7 +99,7 @@ def test_assemble_validates_sizes(params):
 def test_eigenfunctions_pass_their_relation_suites():
     for kind in ("H", "T", "S"):
         u = eigenfunction(7, 1, 1, 1, kind, 128, 64)
-        rels = symmetry_relations(kind, 7, 1, 1, 1)
+        rels = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)[kind])
         res = symmetry_check(u, rels, tol=1e-12)
         assert all(r["pass"] for r in res.values()), (kind, res)
 
@@ -108,14 +108,14 @@ def test_eigenfunction_even_reduced_order_kinds():
     # N = 4, j = 1 has an even reduced rotation order; all kinds must verify
     for kind in ("H", "T", "S"):
         u = eigenfunction(4, 1, 2, 1, kind, 64, 32)
-        rels = symmetry_relations(kind, 4, 1, 2, 1)
+        rels = symmetry_relations(maximal_orbit_generators(4, 1, 2, 1)[kind])
         res = symmetry_check(u, rels, tol=1e-12)
         assert all(r["pass"] for r in res.values()), (kind, res)
 
 
 def test_wrong_kind_relations_fail():
     u = eigenfunction(7, 1, 1, 1, "T", 64, 32)
-    rels = symmetry_relations("H", 7, 1, 1, 1)
+    rels = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)["H"])
     res = symmetry_check(u, rels, tol=1e-12)
     assert not all(r["pass"] for r in res.values())
 
@@ -123,7 +123,7 @@ def test_wrong_kind_relations_fail():
 def test_zero_function_passes_everything():
     u = eigenfunction(7, 1, 1, 1, "H", 32, 16)
     zero = GridFunction(u.t_grid, u.x_grid, np.zeros_like(u.values))
-    rels = symmetry_relations("S", 7, 1, 1, 1)
+    rels = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)["S"])
     res = symmetry_check(zero, rels, tol=1e-12)
     assert all(r["pass"] for r in res.values())
 
@@ -147,7 +147,7 @@ def test_transverse_profile_parity_and_boundary():
 def test_off_grid_time_shift_is_exact_for_band_limited_data():
     # the N = 7 traveling relation shifts by 2 pi / 7, not a grid multiple
     u = eigenfunction(7, 1, 1, 1, "H", 256, 8)
-    rels = [r for r in symmetry_relations("H", 7, 1, 1, 1) if r.name == "traveling_wave"]
+    rels = [r for r in symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)["H"]) if r.name == "traveling_wave"]
     assert rels and (Fraction(1, 7) * 256).denominator != 1
     res = symmetry_check(u, rels, tol=1e-12)
     assert all(r["pass"] for r in res.values())
@@ -158,7 +158,7 @@ def test_eigenfunction_fully_symmetric_and_alternating_blocks():
     # even ring: neighbors differ by a sign and a half-period shift
     for n_ring, j in ((7, 0), (4, 2), (6, 3)):
         u = eigenfunction(n_ring, 1, 1, j, "H", 64, 16)
-        rels = symmetry_relations("H", n_ring, 1, 1, j)
+        rels = symmetry_relations(maximal_orbit_generators(n_ring, 1, 1, j)["H"])
         res = symmetry_check(u, rels, tol=1e-12)
         assert all(r["pass"] for r in res.values()), (n_ring, j, res)
     u0 = eigenfunction(7, 1, 1, 0, "H", 32, 8)
