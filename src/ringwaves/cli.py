@@ -113,6 +113,14 @@ class RunConfig:
         )
 
 
+# allowed values of the choice fields, for flags and config files alike
+CHOICES = {
+    "zeta": ("sigmoid", "linear", "table"),
+    "mode": ("full", "h-fixed"),
+    "prediction_mode": ("local", "global"),
+    "kind": ("H", "S", "T"),
+}
+
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "list": list}
 
 
@@ -148,6 +156,8 @@ def _load_config(args) -> RunConfig:
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
             _check_type(key, value, types[key])
+            if key in CHOICES and value not in CHOICES[key]:
+                raise ValueError(f"config key {key!r} must be one of {CHOICES[key]}, got {value!r}")
             setattr(cfg, key, value)
     for field in dataclasses.fields(RunConfig):
         value = getattr(args, field.name, None)
@@ -397,17 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, help="damping coefficient")
     parser.add_argument("--tau", type=float, help="feedback delay")
     parser.add_argument("--N", type=int, help="number of strings (>= 3)")
-    parser.add_argument(
-        "--zeta", choices=["sigmoid", "linear", "table"], help="coupling curve"
-    )
+    parser.add_argument("--zeta", choices=CHOICES["zeta"], help="coupling curve")
     parser.add_argument("--m-max", dest="m_max", type=int)
     parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--mode", choices=["full", "h-fixed"])
-    parser.add_argument("--prediction-mode", dest="prediction_mode", choices=["local", "global"])
+    parser.add_argument("--mode", choices=CHOICES["mode"])
+    parser.add_argument("--prediction-mode", dest="prediction_mode", choices=CHOICES["prediction_mode"])
     parser.add_argument("--m", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--j", type=int)
-    parser.add_argument("--kind", choices=["H", "S", "T"])
+    parser.add_argument("--kind", choices=CHOICES["kind"])
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--grid-t", dest="grid_t", type=int)

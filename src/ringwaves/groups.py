@@ -73,6 +73,30 @@ class GammaPrimeElement:
         return f"({self.kappa1:+d},{self.kappa2:+d},{self.dihedral})"
 
 
+def generated(gens, mul, identity, limit=None):
+    """Set of elements generated by `gens` under `mul`, or None past `limit`.
+
+    Breadth-first search from `identity` that right-multiplies each new
+    element by each generator.  The group must be finite: every inverse is
+    then a positive power, so no inverse step is needed.  Returns None as
+    soon as more than `limit` elements have been found.
+    """
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = mul(a, g)
+                if c not in seen:
+                    seen.add(c)
+                    new.append(c)
+                    if limit is not None and len(seen) > limit:
+                        return None
+        frontier = new
+    return seen
+
+
 class FiniteGroup:
     """A finite group given by an element list and a full Cayley table.
 
@@ -135,31 +159,10 @@ class FiniteGroup:
         return k
 
     def closure(self, seed, base=None) -> frozenset:
-        """Subgroup generated by `base` and the element indices in `seed`.
-
-        `base` must already be a subgroup (default: the trivial group); only
-        products with newly found elements can then create new elements.
-        """
-        elems = set(base) if base is not None else {self.identity}
-        frontier = [g for g in dict.fromkeys(seed) if g not in elems]
-        elems.update(frontier)
+        """Subgroup generated by `base` and the element indices in `seed`."""
         tab = self.table
-        while frontier:
-            new = []
-            snapshot = list(elems)
-            for a in snapshot:
-                row = tab[a]
-                for b in frontier:
-                    c = row[b]
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-                    c = tab[b][a]
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(elems)
+        gens = list(seed) + list(base or ())
+        return frozenset(generated(gens, lambda a, g: tab[a][g], self.identity))
 
     def generators(self, members) -> list:
         """Greedy generating set: each member not generated by earlier picks."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExactnessError
-from .groups import DihedralElement, GammaPrimeElement
+from .groups import DihedralElement, GammaPrimeElement, generated
 
 FIXED_DIM_TOL = 1e-9
 
@@ -210,41 +210,27 @@ def dressing_bit(n: int) -> int:
 
 
 def generated_group(generators) -> list:
-    """Closure of (turn, GammaPrimeElement) pairs; turns must be Fractions."""
-    elems = {}
-    frontier = []
+    """Closure of (turn, GammaPrimeElement) pairs; turns must be Fractions.
 
-    def key(t, g):
-        return (t, g)
-
-    def add(t, g):
-        k = key(t, g)
-        if k not in elems:
-            elems[k] = (t, g)
-            frontier.append((t, g))
-
-    ident_seen = False
-    for t, g in generators:
-        if not isinstance(t, Fraction):
-            raise ValueError("circle coordinates must be exact rational turns")
-        add(t % 1, g)
-    # identity
-    for t, g in list(elems.values()):
-        ident = (Fraction(0), g * g.inverse())
-        add(*ident)
-        ident_seen = True
-        break
-    if not ident_seen:
+    Inside the closure a turn is an integer mod q, the lcm of the generators'
+    denominators.
+    """
+    generators = list(generators)
+    if not all(isinstance(t, Fraction) for t, _ in generators):
+        raise ValueError("circle coordinates must be exact rational turns")
+    if not generators:
         raise ValueError("empty generator list")
-    while frontier:
-        t1, g1 = frontier.pop()
-        for t2, g2 in list(elems.values()):
-            add((t1 + t2) % 1, g1 * g2)
-            add((t2 + t1) % 1, g2 * g1)
-        add((-t1) % 1, g1.inverse())
-        if len(elems) > 100_000:
-            raise ValueError("generated circle subgroup is too large to be finite")
-    return list(elems.values())
+    q = math.lcm(*(t.denominator for t, _ in generators))
+    gens = [(int(t * q) % q, g) for t, g in generators]
+    g0 = generators[0][1]
+
+    def mul(a, b):
+        return ((a[0] + b[0]) % q, a[1] * b[1])
+
+    elems = generated(gens, mul, (0, g0 * g0.inverse()), limit=100_000)
+    if elems is None:
+        raise ValueError("generated circle subgroup is too large to be finite")
+    return [(Fraction(t, q), g) for t, g in elems]
 
 
 def fixed_dim(rep, generators) -> int:

@@ -16,6 +16,8 @@ and `module_product_oracle`.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 from .burnside import BurnsideElement
 from .errors import ExactnessError
-from .groups import SubgroupClassLattice
+from .groups import SubgroupClassLattice, generated
 
 
 class TwistedOrbitType(NamedTuple):
@@ -64,56 +66,26 @@ class TwistedSubgroup:
 def hom_to_circle(group, members) -> list[dict]:
     """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions).
 
-    Enumerated through the abelianization: candidate values on a greedy
-    generating set are propagated across the multiplication table and kept
-    when globally consistent.
+    Candidate turns on a greedy generating set of K, as integers mod q (the
+    lcm of the generators' orders), give a homomorphism exactly when the
+    subgroup of Z_q x K they generate has |K| elements: it is then the graph
+    of phi.
     """
-    members = sorted(members)
-    gens = group.generators(members)
+    gens = group.generators(sorted(members))
     if not gens:  # trivial subgroup
         return [{group.identity: Fraction(0)}]
-
-    def orders():
-        for g in gens:
-            yield group.element_order(g)
-
-    candidates = [[]]
-    for g, o in zip(gens, orders()):
-        candidates = [c + [Fraction(p, o)] for c in candidates for p in range(o)]
-    homs = []
+    orders = [group.element_order(g) for g in gens]
+    q = math.lcm(*orders)
     tab = group.table
-    for cand in candidates:
-        val = {group.identity: Fraction(0)}
-        for g, v in zip(gens, cand):
-            if g in val and (val[g] - v) % 1 != 0:
-                val = None
-                break
-            val[g] = v % 1
-        if val is None:
-            continue
-        ok = True
-        frontier = list(val)
-        while frontier and ok:
-            new = []
-            for a in list(val):
-                for b in frontier:
-                    for x, y in ((a, b), (b, a)):
-                        p = tab[x][y]
-                        want = (val[x] + val[y]) % 1
-                        got = val.get(p)
-                        if got is None:
-                            val[p] = want
-                            new.append(p)
-                        elif got != want:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            frontier = new
-        if ok and len(val) == len(members):
-            homs.append(val)
+
+    def mul(a, b):
+        return ((a[0] + b[0]) % q, tab[a[1]][b[1]])
+
+    homs = []
+    for values in itertools.product(*(range(0, q, q // o) for o in orders)):
+        graph = generated(list(zip(values, gens)), mul, (0, group.identity), limit=len(members))
+        if graph is not None:
+            homs.append({k: Fraction(t, q) for t, k in graph})
     return homs
 
 
@@ -392,8 +364,6 @@ def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitTyp
 
 def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
     """Common circle denominator Q so that every phi value and folding fits."""
-    import math
-
     q = extra
     for t in types:
         key = ctx._classes[t.kphi]

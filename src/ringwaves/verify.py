@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bifurcation import folding_data
 from .spectrum import ModelParams, mu_numerator
+
+if TYPE_CHECKING:  # scipy loads only when an FD block is built or solved
+    import scipy.sparse as sp
 
 DENSE_SVD_LIMIT = 600
 
@@ -116,6 +118,8 @@ def spectral_eigenvalue_deviation(
 
 
 def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     nu2 = float(params.nu) ** 2
     delta, tau = params.delta, params.tau
     cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j, k) + 1.0)
@@ -148,6 +152,8 @@ def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> sp.csr_matrix:
 
 def _circulant_shift(n: int, a: int) -> sp.csr_matrix:
     """Matrix sending samples u_k to u_{(k - a) mod n}."""
+    import scipy.sparse as sp
+
     rows = np.arange(n)
     cols = (rows - a) % n
     return sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
@@ -155,7 +161,11 @@ def _circulant_shift(n: int, a: int) -> sp.csr_matrix:
 
 def smallest_singular_value(matrix) -> float:
     """sigma_min via dense SVD at small sizes, else sparse LU + Lanczos on
-    the inverse normal operator."""
+    the inverse normal operator.  Lanczos starts from a fixed pseudo-random
+    vector, so repeated calls agree."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = matrix.shape[0]
     if n <= DENSE_SVD_LIMIT:
         dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
@@ -166,7 +176,8 @@ def smallest_singular_value(matrix) -> float:
         return lu.solve(lu.solve(x, trans="T"))
 
     op = spla.LinearOperator((n, n), matvec=apply_inv_normal)
-    lam = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-8)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lam = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-8, v0=v0)
     return float(1.0 / math.sqrt(lam[0]))
 
 

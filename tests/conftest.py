@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
 from ringwaves.twisted import twisted_context
+
+# the same examples on every run, and no per-example time limit on a loaded box
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,8 +195,13 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         (["--config", "missing.json"], None),
         ([], {"N": "4"}),
         (["--m-max", "1", "--n-max", "1"], {"N": 4, "eigendata": [[5, 1.0, 1]]}),
+        ([], {"mode": "ful"}),
+        ([], {"prediction_mode": "both"}),
+        ([], {"kind": "X"}),
+        ([], {"zeta": "cubic"}),
     ],
-    ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index"],
+    ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
+         "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -205,3 +213,12 @@ def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, conf
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded by the FD verification only, not by every subcommand
+    code = "import sys, ringwaves.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert got.stdout.strip() == "False"

@@ -89,6 +89,16 @@ def test_smallest_singular_value_dense_vs_sparse_path():
     assert smallest_singular_value(sp.csc_matrix(dense)) == pytest.approx(want)
 
 
+def test_sigma_min_repeats_and_matches_dense_svd(params):
+    # 64 x 32 = 2048 unknowns, above DENSE_SVD_LIMIT: the LU + Lanczos path
+    alpha, beta = critical_point(1, 1, 0, 1, params)
+    block = assemble(params, alpha, beta, "fd", 64, 32).blocks[0]
+    got = {smallest_singular_value(block) for _ in range(8)}
+    assert len(got) == 1
+    want = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+    assert got.pop() == pytest.approx(want, rel=1e-8)
+
+
 def test_assemble_validates_sizes(params):
     with pytest.raises(ValueError):
         assemble(params, 0.0, 0.0, "fd", 2, 8)
