@@ -61,6 +61,8 @@ def _parse_nu(text: str) -> Fraction:
     parts = text.split("/")
     if not all(p.lstrip("+-").isdigit() for p in parts) or len(parts) > 2:
         raise ValueError(f'wave frequency must be a rational "p/q", got {text!r}')
+    if len(parts) == 2 and int(parts[1]) == 0:
+        raise ValueError(f"wave frequency has a zero denominator: {text!r}")
     return Fraction(text)
 
 

@@ -7,9 +7,11 @@ multiplier) whose eigenvalues must reproduce the closed-form products, and a
 finite-difference one (periodic time grid, Dirichlet space grid, delay by
 linear interpolation between time planes) that knows nothing about the
 closed form and is used for smallest-singular-value scans near predicted
-critical points.  Grid symmetry checks run the machine-readable relations
-emitted by the prediction layer; periodic time shifts are applied by exact
-trigonometric interpolation so band-limited data loses no accuracy.
+critical points.  The FD blocks are normal, so each is kept as its
+eigenvalues, read off the stencil's symbol.  Grid symmetry checks run the
+machine-readable relations emitted by the prediction layer; periodic time
+shifts are applied by exact trigonometric interpolation so band-limited data
+loses no accuracy.
 """
 
 from __future__ import annotations
@@ -17,17 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bifurcation import folding_data
 from .spectrum import ModelParams, mu_numerator
-
-if TYPE_CHECKING:  # scipy loads only when an FD block is built or solved
-    import scipy.sparse as sp
-
-DENSE_SVD_LIMIT = 600
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,7 @@ class Discretization:
     mode: str  # "spectral" | "fd"
     m_t: int
     m_x: int
-    blocks: dict  # isotypic index j -> matrix (dense for spectral, sparse for fd)
+    blocks: dict  # isotypic index j -> dense matrix (spectral) or eigenvalues (fd)
     alpha: float
     beta: float
 
@@ -117,71 +113,44 @@ def spectral_eigenvalue_deviation(
     return worst
 
 
-def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> sp.csr_matrix:
-    import scipy.sparse as sp
+def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> np.ndarray:
+    """Eigenvalues of the FD block kron(C_t, I_x) + kron(I_t, -D_xx).
 
+    C_t is circulant: centred time derivatives, damping, the delay by linear
+    interpolation between the two bracketing time planes, and cj.  -D_xx is
+    the symmetric Dirichlet tridiagonal.  The summands commute and are
+    normal, so the block's m_t * m_x eigenvalues are c_q + a_l with c_q the
+    DFT of the time stencil and a_l the Dirichlet eigenvalues.
+    """
     nu2 = float(params.nu) ** 2
     delta, tau = params.delta, params.tau
     cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j, k) + 1.0)
     dt = 2.0 * math.pi / m_t
     dx = math.pi / (m_x + 1)
 
-    shift_fwd = _circulant_shift(m_t, -1)
-    shift_bwd = _circulant_shift(m_t, 1)
-    eye_t = sp.identity(m_t, format="csr")
-    d_t = (shift_fwd - shift_bwd) / (2.0 * dt)
-    d_tt = (shift_fwd - 2.0 * eye_t + shift_bwd) / (dt * dt)
-
-    # delay by linear interpolation between the two bracketing time planes
-    s = tau / dt
+    stencil = np.zeros(m_t)  # entry a multiplies u_{k-a}
+    stencil[0] = cj - 2.0 * nu2 / (dt * dt)
+    stencil[1] = nu2 / (dt * dt) - delta / (2.0 * dt)
+    stencil[-1] = nu2 / (dt * dt) + delta / (2.0 * dt)
+    s = tau / dt  # delay between the two bracketing time planes
     s_hi = math.ceil(s)
     w = s_hi - s
-    delay = w * _circulant_shift(m_t, s_hi - 1) + (1.0 - w) * _circulant_shift(m_t, s_hi)
+    stencil[(s_hi - 1) % m_t] += beta * w
+    stencil[s_hi % m_t] += beta * (1.0 - w)
 
-    main = np.full(m_x, 2.0 / (dx * dx))
-    off = np.full(m_x - 1, -1.0 / (dx * dx))
-    minus_dxx = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    eye_x = sp.identity(m_x, format="csr")
-
-    block = (
-        sp.kron(nu2 * d_tt + delta * d_t + beta * delay + cj * eye_t, eye_x)
-        + sp.kron(eye_t, minus_dxx)
-    )
-    return block.tocsc()
+    c = np.fft.fft(stencil)
+    a = (2.0 - 2.0 * np.cos(math.pi * np.arange(1, m_x + 1) / (m_x + 1))) / (dx * dx)
+    return (c[:, None] + a[None, :]).ravel()
 
 
-def _circulant_shift(n: int, a: int) -> sp.csr_matrix:
-    """Matrix sending samples u_k to u_{(k - a) mod n}."""
-    import scipy.sparse as sp
-
-    rows = np.arange(n)
-    cols = (rows - a) % n
-    return sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
-
-
-def smallest_singular_value(matrix) -> float:
-    """sigma_min via dense SVD at small sizes, else sparse LU + Lanczos on
-    the inverse normal operator.  Lanczos starts from a fixed pseudo-random
-    vector, so repeated calls agree."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    n = matrix.shape[0]
-    if n <= DENSE_SVD_LIMIT:
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-        return float(np.linalg.svd(dense, compute_uv=False)[-1])
-    lu = spla.splu(matrix.tocsc())
-
-    def apply_inv_normal(x):
-        return lu.solve(lu.solve(x, trans="T"))
-
-    op = spla.LinearOperator((n, n), matvec=apply_inv_normal)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    lam = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-8, v0=v0)
-    return float(1.0 / math.sqrt(lam[0]))
+def smallest_singular_value(eigenvalues) -> float:
+    """sigma_min of a normal block given its eigenvalues: min |lambda|."""
+    return float(np.abs(eigenvalues).min())
 
 
 def sigma_min(disc: Discretization) -> float:
+    if disc.mode != "fd":
+        raise ValueError("sigma_min needs an 'fd' discretization")
     return min(smallest_singular_value(b) for b in disc.blocks.values())
 
 
@@ -192,19 +161,18 @@ def sigma_min_scan(
     m_t: int = 128,
     m_x: int = 64,
     n_ring: int = 8,
-    mode: str = "fd",
 ):
-    """sigma_min at the center and on a parameter ring around it.
+    """FD sigma_min at the center and on a parameter ring around it.
 
     Returns rows (d_alpha, d_beta, sigma_min); the first row is the center.
     """
     a0, b0 = center
-    rows = [(0.0, 0.0, sigma_min(assemble(params, a0, b0, mode, m_t, m_x)))]
+    rows = [(0.0, 0.0, sigma_min(assemble(params, a0, b0, "fd", m_t, m_x)))]
     for i in range(n_ring):
         ang = 2.0 * math.pi * i / n_ring
         da, db = radius * math.cos(ang), radius * math.sin(ang)
         rows.append(
-            (da, db, sigma_min(assemble(params, a0 + da, b0 + db, mode, m_t, m_x)))
+            (da, db, sigma_min(assemble(params, a0 + da, b0 + db, "fd", m_t, m_x)))
         )
     return rows
 

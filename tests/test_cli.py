@@ -199,9 +199,10 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"prediction_mode": "both"}),
         ([], {"kind": "X"}),
         ([], {"zeta": "cubic"}),
+        (["predict", "--nu", "1/0"], None),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
-         "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta"],
+         "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -215,10 +216,16 @@ def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, conf
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded by the FD verification only, not by every subcommand
-    code = "import sys, ringwaves.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test-only dependency: neither the import nor an FD verify loads it
+    code = (
+        "import sys, ringwaves.cli\n"
+        "code = ringwaves.cli.main(['verify', '--N', '3', '--grid-t', '16', '--grid-x', '8',"
+        " '--ring-points', '2', '--out', sys.argv[1]])\n"
+        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=120)
-    assert got.stdout.strip() == "False"
+    got = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scan.json")],
+                         capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert got.stdout.strip() == "0 False"
+    assert (tmp_path / "scan.json").exists()

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ringwaves.bifurcation import maximal_orbit_generators, symmetry_relations
 from ringwaves.spectrum import ModelParams, critical_point
@@ -24,6 +26,48 @@ from ringwaves.verify import (
 @pytest.fixture()
 def params():
     return ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=3)
+
+
+def _circulant_shift(n, a):
+    """Matrix sending samples u_k to u_{(k - a) mod n}."""
+    rows = np.arange(n)
+    return sp.csr_matrix((np.ones(n), (rows, (rows - a) % n)), shape=(n, n))
+
+
+def _fd_matrix(params, alpha, beta, j, k, m_t, m_x):
+    """Oracle: the FD block assembled as a sparse matrix, shift by shift."""
+    nu2 = float(params.nu) ** 2
+    delta, tau = params.delta, params.tau
+    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j, k) + 1.0)
+    dt = 2.0 * math.pi / m_t
+    dx = math.pi / (m_x + 1)
+    shift_fwd = _circulant_shift(m_t, -1)
+    shift_bwd = _circulant_shift(m_t, 1)
+    eye_t = sp.identity(m_t, format="csr")
+    d_t = (shift_fwd - shift_bwd) / (2.0 * dt)
+    d_tt = (shift_fwd - 2.0 * eye_t + shift_bwd) / (dt * dt)
+    s = tau / dt
+    s_hi = math.ceil(s)
+    w = s_hi - s
+    delay = w * _circulant_shift(m_t, s_hi - 1) + (1.0 - w) * _circulant_shift(m_t, s_hi)
+    main = np.full(m_x, 2.0 / (dx * dx))
+    off = np.full(m_x - 1, -1.0 / (dx * dx))
+    minus_dxx = sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    block = (
+        sp.kron(nu2 * d_tt + delta * d_t + beta * delay + cj * eye_t, sp.identity(m_x))
+        + sp.kron(eye_t, minus_dxx)
+    )
+    return block.tocsc()
+
+
+def _lanczos_sigma_min(matrix):
+    """Oracle: sparse LU + Lanczos on the inverse normal operator, seeded."""
+    n = matrix.shape[0]
+    lu = spla.splu(matrix)
+    op = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(lu.solve(x, trans="T")))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lam = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-8, v0=v0)
+    return float(1.0 / math.sqrt(lam[0]))
 
 
 def test_spectral_assembly_matches_closed_form(params):
@@ -53,9 +97,31 @@ def test_fd_far_from_critical_nonsingular(params):
 def test_fd_symmetric_up_to_damping_and_delay():
     p = ModelParams(nu=Fraction(1), delta=1e-9, tau=2.0, N=3)
     disc = assemble(p, 0.3, 0.0, "fd", 16, 8)
-    for block in disc.blocks.values():
-        asym = abs(block - block.T).max()
-        assert asym < 1e-6
+    for (j, k) in p.eigendata.indices():
+        matrix = _fd_matrix(p, 0.3, 0.0, j, k, 16, 8)
+        assert abs(matrix - matrix.T).max() < 1e-6
+        assert np.abs(disc.blocks[j].imag).max() < 1e-6
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("grid", [(16, 8), (32, 16)])
+@pytest.mark.parametrize("tau", [2.0, 2.0 * math.pi * 5 / 16], ids=["tau-2", "tau-whole-steps"])
+def test_fd_symbol_gives_every_singular_value(N, grid, tau):
+    # tau = 2 pi * 5/16 is a whole number of time steps at m_t = 16 (w = 0)
+    p = ModelParams(nu=Fraction(1), delta=1.0, tau=tau, N=N)
+    cp = critical_point(1, 1, 0, 1, p)
+    for alpha, beta in (cp, (cp[0] + 0.05, cp[1] - 0.05), (1.5, 2.5)):
+        disc = assemble(p, alpha, beta, "fd", *grid)
+        for (j, k) in p.eigendata.indices():
+            want = np.linalg.svd(_fd_matrix(p, alpha, beta, j, k, *grid).toarray(), compute_uv=False)
+            got = np.sort(np.abs(disc.blocks[j]))[::-1]
+            assert np.abs(got - want).max() <= 1e-12 * want[0]
+            assert smallest_singular_value(disc.blocks[j]) == got[-1]
+
+
+def test_sigma_min_needs_fd(params):
+    with pytest.raises(ValueError):
+        sigma_min(assemble(params, 0.3, 0.2, "spectral", 6, 5))
 
 
 def test_sigma_min_scan_detects_singularity(params):
@@ -80,23 +146,21 @@ def test_sigma_min_ratio_near_regular_point(params):
     assert center > 0.5 * ring
 
 
-def test_smallest_singular_value_dense_vs_sparse_path():
-    import scipy.sparse as sp
-
-    rng = np.random.default_rng(0)
-    dense = rng.normal(size=(40, 40))
-    want = np.linalg.svd(dense, compute_uv=False)[-1]
-    assert smallest_singular_value(sp.csc_matrix(dense)) == pytest.approx(want)
-
-
-def test_sigma_min_repeats_and_matches_dense_svd(params):
-    # 64 x 32 = 2048 unknowns, above DENSE_SVD_LIMIT: the LU + Lanczos path
+def test_sigma_min_repeats_and_matches_dense_svd(params, monkeypatch):
+    # 64 x 32 = 2048 unknowns: the LU + Lanczos oracle and the symbol both
+    # agree with dense SVD of the assembled matrix
+    lu_calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda m: lu_calls.append(1) or splu(m))
     alpha, beta = critical_point(1, 1, 0, 1, params)
     block = assemble(params, alpha, beta, "fd", 64, 32).blocks[0]
     got = {smallest_singular_value(block) for _ in range(8)}
     assert len(got) == 1
-    want = np.linalg.svd(block.toarray(), compute_uv=False)[-1]
+    matrix = _fd_matrix(params, alpha, beta, 0, 1, 64, 32)
+    want = np.linalg.svd(matrix.toarray(), compute_uv=False)[-1]
     assert got.pop() == pytest.approx(want, rel=1e-8)
+    assert _lanczos_sigma_min(matrix) == pytest.approx(want, rel=1e-8)
+    assert lu_calls == [1]
 
 
 def test_assemble_validates_sizes(params):
