@@ -9,6 +9,7 @@ are the maximal isotropy types of W_m (x) V away from the origin.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .burnside import BurnsideElement
@@ -18,13 +19,20 @@ from .reps import FIXED_DIM_TOL, DressedIrrep, GIrrep, cos_turn
 from .twisted import TwistedContext, TwistedOrbitType, TwistedSum
 
 
+@lru_cache(maxsize=None)
+def _characters(rep: DressedIrrep, group) -> tuple:
+    """rep.char of every element of `group`, by element index."""
+    return tuple(rep.char(g) for g in group.elements)
+
+
 def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
     """dim V^H for every subgroup class, by character averaging."""
+    chars = _characters(rep, lattice.group)
     dims = []
     for sub in lattice.reps:
         total = 0.0
         for k in sub.elems:
-            total += rep.char(lattice.group.elements[k])
+            total += chars[k]
         avg = total / sub.order
         dim = round(avg)
         if abs(avg - dim) > FIXED_DIM_TOL:
@@ -67,18 +75,25 @@ def linear_iso_degree(neg_spectrum, lattice: SubgroupClassLattice) -> BurnsideEl
     return out
 
 
+@lru_cache(maxsize=None)
+def _turn_cosines(denominator: int) -> tuple:
+    """cos_turn(t / denominator) for every integer turn t of a context."""
+    return tuple(cos_turn(Fraction(t, denominator)) for t in range(denominator))
+
+
 def twisted_fixed_dim(ctx: TwistedContext, kphi: int, rep: DressedIrrep) -> int:
     """dim of (W_l (x) V)^{K^{phi,l}}: independent of the folding l >= 1.
 
     Each (z, k) with z^l = phi(k) acts as the plane rotation by phi(k)
     tensored with the dressed action, so the average runs over K only.
     """
-    key = ctx._classes[kphi]
-    group = ctx.group
+    elems, turns = ctx._classes[kphi]
+    cosines = _turn_cosines(ctx.denominator)
+    chars = _characters(rep, ctx.group)
     total = 0.0
-    for k, turn in zip(key[0], key[1]):
-        total += 2.0 * cos_turn(turn) * rep.char(group.elements[k])
-    avg = total / len(key[0])
+    for k, turn in zip(elems, turns):
+        total += 2.0 * cosines[turn] * chars[k]
+    avg = total / len(elems)
     dim = round(avg)
     if abs(avg - dim) > FIXED_DIM_TOL:
         raise ExactnessError(f"non-integer twisted fixed dimension {avg}")

@@ -10,9 +10,10 @@ basic degrees, twisted orbit types) consumes this data.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import SizeCapError
 
@@ -73,28 +74,38 @@ class GammaPrimeElement:
         return f"({self.kappa1:+d},{self.kappa2:+d},{self.dihedral})"
 
 
-def generated(gens, mul, identity, limit=None):
-    """Set of elements generated by `gens` under `mul`, or None past `limit`.
+def generated(gens, mul, base, limit=None):
+    """Elements generated by `gens` under `mul`, or None past `limit`.
 
-    Breadth-first search from `identity` that right-multiplies each new
-    element by each generator.  The group must be finite: every inverse is
-    then a positive power, so no inverse step is needed.  Returns None as
-    soon as more than `limit` elements have been found.
+    `base` lists a subgroup of the result, identity first (at least the
+    identity).  The result is built as right cosets of `base`: the first
+    element of each coset, times each generator, either lies in a coset
+    already found or starts a new one.  That suffices, since h x g lies in
+    the coset of x g.  The group must be finite: every inverse is then a
+    positive power, so no inverse step is needed.  With `base` a single
+    point and `mul` a group action, the result is that point's orbit.
+    Returns the element list, `base` first, or None as soon as it holds
+    more than `limit` elements.
     """
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in seen:
-                    seen.add(c)
-                    new.append(c)
-                    if limit is not None and len(seen) > limit:
-                        return None
-        frontier = new
-    return seen
+    elems = list(base)
+    rest = elems[1:]
+    seen = set(elems)
+    i = 0
+    while i < len(elems):
+        x = elems[i]
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+                for h in rest:
+                    z = mul(h, y)
+                    seen.add(z)
+                    elems.append(z)
+                if limit is not None and len(elems) > limit:
+                    return None
+        i += len(base)
+    return elems
 
 
 class FiniteGroup:
@@ -159,10 +170,10 @@ class FiniteGroup:
         return k
 
     def closure(self, seed, base=None) -> frozenset:
-        """Subgroup generated by `base` and the element indices in `seed`."""
+        """Subgroup generated by the subgroup `base` and the indices in `seed`."""
         tab = self.table
-        gens = list(seed) + list(base or ())
-        return frozenset(generated(gens, lambda a, g: tab[a][g], self.identity))
+        base = [self.identity] + sorted(set(base or ()) - {self.identity})
+        return frozenset(generated(list(seed) + base, lambda a, g: tab[a][g], base))
 
     def generators(self, members) -> list:
         """Greedy generating set: each member not generated by earlier picks."""
@@ -224,37 +235,56 @@ def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
     """All subgroups of `group`, found by cyclic extension.
 
     Starts from the cyclic subgroups and repeatedly adjoins one cyclic
-    generator at a time; dedupes by element set.  Complete because every
-    subgroup is reached from any maximal chain of subgroups below it.
+    generator at a time; dedupes by element set.  Each subgroup H found
+    keeps the generator tuple that reached it, so adjoining the cyclic
+    subgroup <g> closes that tuple plus g, in right cosets of H.  Complete
+    because every subgroup is reached from any maximal chain of subgroups
+    below it.
     """
     if group.order > cap:
         raise SizeCapError(f"group order {group.order} exceeds cap {cap}")
-    trivial = frozenset({group.identity})
-    cyclics = {group.closure([g]) for g in range(group.order)} - {trivial}
-    cyclics = sorted(cyclics, key=lambda s: (len(s), sorted(s)))
-    subs = {trivial}
-    subs.update(cyclics)
-    frontier = list(cyclics)
-    seen_unions = set(subs)
-    full = frozenset(range(group.order))
+    tab = group.table
+    bits = [1 << i for i in range(group.order)]
+
+    def close(gens, base):
+        return generated(gens, lambda a, x: tab[a][x], base)
+
+    def mask(members):
+        return sum(bits[i] for i in members)
+
+    found = {}  # subgroup mask -> (generator tuple, members with identity first)
+    for g in range(group.order):
+        members = close([g], [group.identity])
+        found.setdefault(mask(members), ((g,), members))
+    trivial = bits[group.identity]
+    found[trivial] = ((), [group.identity])
+    cyclics = sorted(
+        (c for c in found if c != trivial), key=lambda c: (len(found[c][1]), sorted(found[c][1]))
+    )
+    cyclics = [(c, found[c][0][0]) for c in cyclics]
+    frontier = [c for c, _ in cyclics]
+    seen_unions = set(found)
+    full = (1 << group.order) - 1
     while frontier:
         new = []
         for h in frontier:
             if h == full:
                 continue
-            for c in cyclics:
-                if c <= h:
-                    continue
+            h_gens, h_members = found[h]
+            for c, g in cyclics:
                 union = h | c
-                if union in seen_unions:
+                if union == h or union in seen_unions:
                     continue
                 seen_unions.add(union)
-                k = group.closure(c, base=h)
-                if k not in subs:
-                    subs.add(k)
+                k_gens = h_gens + (g,)
+                members = close(k_gens, h_members)
+                k = mask(members)
+                if k not in found:
+                    found[k] = (k_gens, members)
                     new.append(k)
         frontier = new
-    return sorted((Subgroup.from_set(s) for s in subs), key=lambda s: (s.order, s.elems))
+    subs = (Subgroup.from_set(members) for _, members in found.values())
+    return sorted(subs, key=lambda s: (s.order, s.elems))
 
 
 class SubgroupClassLattice:
@@ -354,12 +384,32 @@ class SubgroupClassLattice:
         )
 
 
-@lru_cache(maxsize=None)
+def build_once(build):
+    """Cache `build` on its one argument; concurrent misses build once.
+
+    A hit reads the cache without locking; a miss takes the lock, so a
+    second thread that misses the same key waits and then reads the result.
+    """
+    cache = {}
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def cached(key):
+        if key not in cache:
+            with lock:
+                if key not in cache:
+                    cache[key] = build(key)
+        return cache[key]
+
+    return cached
+
+
+@build_once
 def dihedral_lattice(n: int) -> SubgroupClassLattice:
     return SubgroupClassLattice(dihedral_group(n))
 
 
-@lru_cache(maxsize=None)
+@build_once
 def gamma_prime_lattice(n: int) -> SubgroupClassLattice:
     return SubgroupClassLattice(gamma_prime(n))
 

@@ -227,7 +227,7 @@ def generated_group(generators) -> list:
     def mul(a, b):
         return ((a[0] + b[0]) % q, a[1] * b[1])
 
-    elems = generated(gens, mul, (0, g0 * g0.inverse()), limit=100_000)
+    elems = generated(gens, mul, [(0, g0 * g0.inverse())], limit=100_000)
     if elems is None:
         raise ValueError("generated circle subgroup is too large to be finite")
     return [(Fraction(t, q), g) for t, g in elems]

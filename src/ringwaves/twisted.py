@@ -1,13 +1,14 @@
 """Twisted orbit types of S^1 x (Z2 x Z2 x D_N) and their module algebra.
 
 A closed subgroup of S^1 x Gamma' is identified by a triple (K, phi, l):
-K <= Gamma', a homomorphism phi from K to the circle (stored as exact
-rational turns), and a folding integer l >= 0, cutting out
-{(z, k) : phi(k) = z^l}; l = 0 is reserved for the product subgroups
-S^1 x K (phi trivial).  Because the circle factor is central, conjugation
-only moves the (K, phi) part, so orbit types are Gamma'-orbits of (K, phi)
-pairs tagged with l; all conjugacy tests, subconjugation counts n(H, L)
-and finite Weyl orders |W(H)/S^1| are computed exactly inside Gamma'.
+K <= Gamma', a homomorphism phi from K to the circle (exact rational turns,
+held as integers mod the exponent of Gamma' inside a context), and a
+folding integer l >= 0, cutting out {(z, k) : phi(k) = z^l}; l = 0 is
+reserved for the product subgroups S^1 x K (phi trivial).  Because the
+circle factor is central, conjugation only moves the (K, phi) part, so
+orbit types are Gamma'-orbits of (K, phi) pairs tagged with l; all
+conjugacy tests, subconjugation counts n(H, L) and finite Weyl orders
+|W(H)/S^1| are computed exactly inside Gamma'.
 
 A brute-force cross-check realizes types inside the finite quotient
 Z_Q x Gamma' (all turns sharing denominator Q); see `quotient_weyl_oracle`
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .burnside import BurnsideElement
 from .errors import ExactnessError
-from .groups import SubgroupClassLattice, generated
+from .groups import SubgroupClassLattice, build_once, generated
 
 
 class TwistedOrbitType(NamedTuple):
@@ -63,8 +64,8 @@ class TwistedSubgroup:
         return dict(self.phi)
 
 
-def hom_to_circle(group, members) -> list[dict]:
-    """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions).
+def _circle_homs(group, members):
+    """Integer core of `hom_to_circle`: (q, [{element: turn mod q}, ...]).
 
     Candidate turns on a greedy generating set of K, as integers mod q (the
     lcm of the generators' orders), give a homomorphism exactly when the
@@ -73,7 +74,7 @@ def hom_to_circle(group, members) -> list[dict]:
     """
     gens = group.generators(sorted(members))
     if not gens:  # trivial subgroup
-        return [{group.identity: Fraction(0)}]
+        return 1, [{group.identity: 0}]
     orders = [group.element_order(g) for g in gens]
     q = math.lcm(*orders)
     tab = group.table
@@ -83,10 +84,16 @@ def hom_to_circle(group, members) -> list[dict]:
 
     homs = []
     for values in itertools.product(*(range(0, q, q // o) for o in orders)):
-        graph = generated(list(zip(values, gens)), mul, (0, group.identity), limit=len(members))
+        graph = generated(list(zip(values, gens)), mul, [(0, group.identity)], limit=len(members))
         if graph is not None:
-            homs.append({k: Fraction(t, q) for t, k in graph})
-    return homs
+            homs.append({k: t for t, k in graph})
+    return q, homs
+
+
+def hom_to_circle(group, members) -> list[dict]:
+    """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions)."""
+    q, homs = _circle_homs(group, members)
+    return [{k: Fraction(t, q) for k, t in phi.items()} for phi in homs]
 
 
 class TwistedContext:
@@ -94,15 +101,25 @@ class TwistedContext:
 
     Class ids are stable and ordered by descending |K| (ties broken by the
     canonical key), a total order refining twisted subconjugation at equal
-    folding.
+    folding.  Inside the context a turn is an integer mod `denominator`, the
+    exponent L of Gamma' (every phi takes values in (1/L)Z / Z); canonical
+    keys are (K tuple, turn tuple) pairs.  Turns leave as Fraction(t, L).
+    Since t -> t / L is monotone on 0..L-1, integer keys order as the
+    Fraction keys would.
     """
 
     def __init__(self, lattice: SubgroupClassLattice):
         self.lattice = lattice
-        self.group = lattice.group
-        self._classes = []  # canonical keys: (K tuple, phi tuple)
+        self.group = g = lattice.group
+        self.denominator = math.lcm(*(g.element_order(x) for x in range(g.order)))
+        self._conj_gens = [
+            tuple(g.conj(c, h) for h in range(g.order)) for c in g.generators(range(g.order))
+        ]
+        self._classes = []  # canonical keys: (K tuple, turn tuple)
         self._class_ids = {}
-        self._conjugates = []  # per class: list of (frozenset K, phi dict)
+        # per class, one (K mask, graph mask) per conjugate (K', phi'): K mask
+        # has bit k for k in K', graph mask bit k*L + phi'(k)
+        self._conjugates = []
         self._weyl = []
         self._kclass = []  # lattice class id of K
         self._n_cache = {}
@@ -110,34 +127,39 @@ class TwistedContext:
 
     # -- construction ------------------------------------------------------
 
-    def _conjugate_orbit(self, phi: dict) -> dict:
-        """Gamma'-orbit of (K, phi): {(K tuple, phi tuple): (K set, phi dict)}."""
-        g = self.group
-        tab, inv = g.table, g.inverse
-        seen = {}
-        for c in range(g.order):
-            ci = inv[c]
-            row = tab[c]
-            pairs = {tab[row[k]][ci]: t for k, t in phi.items()}
-            key = (tuple(sorted(pairs)), tuple(t for _, t in sorted(pairs.items())))
-            if key not in seen:
-                seen[key] = (frozenset(pairs), pairs)
-        return seen
+    def _orbit(self, key) -> set:
+        """Gamma'-orbit of the (K tuple, turn tuple) key, as a set of keys."""
+
+        def conjugate(key, conj):
+            pairs = sorted(zip([conj[k] for k in key[0]], key[1]))
+            return tuple(k for k, _ in pairs), tuple(t for _, t in pairs)
+
+        return set(generated(self._conj_gens, conjugate, [key]))
 
     def _canonical_key(self, phi: dict):
-        return min(self._conjugate_orbit(phi))
+        """Least key in the orbit of (K, phi); phi's turns may be any rationals."""
+        L = self.denominator
+        elems = tuple(sorted(phi))
+        turns = []
+        for k in elems:
+            t = phi[k] % 1 * L
+            if t.denominator != 1:
+                raise ValueError(f"turn {phi[k]} is not a multiple of 1/{L}")
+            turns.append(int(t))
+        return min(self._orbit((elems, tuple(turns))))
 
     def _build(self):
-        lat = self.lattice
+        lat, L = self.lattice, self.denominator
         found = {}  # canonical key -> (K class, orbit)
         for kclass in range(lat.n_classes):
-            rep = lat.reps[kclass]
+            elems = lat.reps[kclass].elems
+            q, homs = _circle_homs(self.group, elems)
             seen = set()  # orbit keys already met from this K
-            for phi in hom_to_circle(self.group, rep.elems):
-                own = (rep.elems, tuple(phi[k] for k in rep.elems))
+            for phi in homs:
+                own = (elems, tuple(phi[k] * (L // q) for k in elems))
                 if own in seen:
                     continue
-                orbit = self._conjugate_orbit(phi)
+                orbit = self._orbit(own)
                 seen.update(orbit)
                 found[min(orbit)] = (kclass, orbit)
         for key in sorted(found, key=lambda key: (-len(key[0]), key)):
@@ -149,8 +171,15 @@ class TwistedContext:
             self._class_ids[key] = len(self._classes)
             self._classes.append(key)
             self._kclass.append(kclass)
-            self._conjugates.append(list(orbit.values()))
+            self._conjugates.append([
+                (sum(1 << k for k in elems), self._graph(elems, turns))
+                for elems, turns in orbit
+            ])
             self._weyl.append(stab // len(key[0]))
+
+    def _graph(self, elems, turns) -> int:
+        L = self.denominator
+        return sum(1 << (k * L + t) for k, t in zip(elems, turns))
 
     # -- queries -----------------------------------------------------------
 
@@ -166,11 +195,11 @@ class TwistedContext:
         return self.canonicalize(TwistedSubgroup.build(self.lattice, members, phi, l))
 
     def representative(self, t: TwistedOrbitType) -> TwistedSubgroup:
-        key = self._classes[t.kphi]
-        phi = dict(zip(key[0], key[1]))
+        elems, turns = self._classes[t.kphi]
         if t.l == 0:
-            phi = {k: Fraction(0) for k in key[0]}
-        return TwistedSubgroup(frozenset(key[0]), tuple(sorted(phi.items())), t.l)
+            turns = (0,) * len(elems)
+        phi = tuple((k, Fraction(u, self.denominator)) for k, u in zip(elems, turns))
+        return TwistedSubgroup(frozenset(elems), phi, t.l)
 
     def k_order(self, t) -> int:
         kphi = t.kphi if isinstance(t, TwistedOrbitType) else t
@@ -190,32 +219,29 @@ class TwistedContext:
         if h.l == 0:
             if l_type.l != 0:
                 return 0
-            return self._n_product_contain(h.kphi, l_type.kphi)
+            return self._n_power_phase(h.kphi, l_type.kphi, 0)
         if l_type.l == 0:
             # K^{phi,l} <= S^1 x K' iff K <= K'
-            return self._n_product_contain(h.kphi, l_type.kphi)
+            return self._n_power_phase(h.kphi, l_type.kphi, 0)
         if l_type.l % h.l:
             return 0
         return self._n_power_phase(h.kphi, l_type.kphi, l_type.l // h.l)
 
-    def _n_product_contain(self, kphi1: int, kphi2: int) -> int:
-        k1set = frozenset(self._classes[kphi1][0])
-        return sum(1 for members, _ in self._conjugates[kphi2] if k1set <= members)
-
     def _n_power_phase(self, kphi1: int, kphi2: int, power: int) -> int:
-        """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1."""
+        """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1.
+
+        Power 0 counts K1 <= K' alone (a product type on either side).
+        """
         got = self._n_cache.get((kphi1, kphi2, power))
         if got is not None:
             return got
-        k1, t1 = self._classes[kphi1]
-        if power > 1:  # turns are stored mod 1, so power 1 needs no arithmetic
-            t1 = [(t * power) % 1 for t in t1]
-        want = dict(zip(k1, t1))
-        k1set = frozenset(k1)
-        count = 0
-        for members, phi in self._conjugates[kphi2]:
-            if k1set <= members and all(phi[k] == t for k, t in want.items()):
-                count += 1
+        elems, turns = self._classes[kphi1]
+        if power:
+            want = self._graph(elems, [t * power % self.denominator for t in turns])
+            count = sum(1 for _, graph in self._conjugates[kphi2] if graph & want == want)
+        else:
+            want = sum(1 << k for k in elems)
+            count = sum(1 for kmask, _ in self._conjugates[kphi2] if kmask & want == want)
         self._n_cache[(kphi1, kphi2, power)] = count
         return count
 
@@ -224,12 +250,13 @@ class TwistedContext:
         return self.group.generators(self._classes[t.kphi][0])
 
     def type_str(self, t: TwistedOrbitType) -> str:
-        key = self._classes[t.kphi]
+        elems, turns = self._classes[t.kphi]
         gens = self.generating_set(t)
-        phi = dict(zip(key[0], key[1]))
+        phi = dict(zip(elems, turns))
         g = self.group
         gen_str = ",".join(f"{g.elements[x]}" for x in gens) or "e"
-        phi_str = ",".join(f"{g.elements[k]}:{phi[k]}" for k in gens) or "-"
+        phi_str = ",".join(f"{g.elements[k]}:{Fraction(phi[k], self.denominator)}" for k in gens)
+        phi_str = phi_str or "-"
         return f"[{gen_str} | {phi_str} | {t.l}]"
 
 
@@ -323,7 +350,7 @@ def module_product(a: BurnsideElement, b: TwistedSum) -> TwistedSum:
     return TwistedSum.from_dict(ctx, out)
 
 
-@lru_cache(maxsize=None)
+@build_once
 def twisted_context(lattice: SubgroupClassLattice) -> TwistedContext:
     """The (K, phi)-classes over `lattice`, built once per lattice."""
     return TwistedContext(lattice)
@@ -366,10 +393,9 @@ def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
     """Common circle denominator Q so that every phi value and folding fits."""
     q = extra
     for t in types:
-        key = ctx._classes[t.kphi]
         q = math.lcm(q, max(t.l, 1))
-        for turn in key[1]:
-            q = math.lcm(q, turn.denominator * max(t.l, 1))
+        for turn in ctx._classes[t.kphi][1]:
+            q = math.lcm(q, Fraction(turn, ctx.denominator).denominator * max(t.l, 1))
     return q
 
 

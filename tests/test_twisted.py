@@ -199,3 +199,40 @@ def test_type_str_roundtrippable(ctx3):
     t = TwistedOrbitType(1, 1)
     s = ctx3.type_str(t)
     assert s.startswith("[") and s.endswith("| 1]")
+
+
+def test_type_of_takes_turns_outside_the_unit_interval(lat3, ctx3):
+    full = frozenset(range(lat3.group.order))
+    hom = hom_to_circle(lat3.group, full)[1]
+    t = ctx3.type_of(full, hom, 1)
+    # every turn here is 0 or 1/2, so -phi and phi + 1 are phi mod 1
+    assert ctx3.type_of(full, {k: v + 1 for k, v in hom.items()}, 1) == t
+    assert ctx3.type_of(full, {k: -v for k, v in hom.items()}, 1) == t
+
+
+def test_concurrent_misses_build_each_structure_once(monkeypatch):
+    import threading
+    from collections import Counter
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ringwaves.groups import SubgroupClassLattice, gamma_prime_lattice
+    from ringwaves.twisted import TwistedContext
+
+    built = Counter()
+    for cls in (SubgroupClassLattice, TwistedContext):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    barrier = threading.Barrier(4)
+
+    def work(_):
+        barrier.wait()  # all four miss the caches together
+        return twisted_context(gamma_prime_lattice(11))  # N built by no other test
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        contexts = list(pool.map(work, range(4)))
+    assert all(ctx is contexts[0] for ctx in contexts)
+    assert built == {"SubgroupClassLattice": 1, "TwistedContext": 1}
