@@ -184,6 +184,15 @@ def _emit(payload, out: str | None):
         print(text)
 
 
+def _block_indices(cfg: RunConfig) -> tuple[int, int, int]:
+    """(m, n, j) for verify and export: m and n default to 1, j to 0."""
+    m = 1 if cfg.m is None else cfg.m
+    n = 1 if cfg.n is None else cfg.n
+    if m < 1 or n < 1:
+        raise ValueError(f"--m and --n must be at least 1, got m = {m}, n = {n}")
+    return m, n, 0 if cfg.j is None else cfg.j
+
+
 def cmd_critical_points(cfg: RunConfig) -> int:
     params = cfg.params()
     pts = enumerate_critical_points(params, cfg.m_max, cfg.n_max, odd_m_only=cfg.mode == "h-fixed")
@@ -265,10 +274,12 @@ def cmd_invariant(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.params()
+    if cfg.ring_points < 1:
+        raise ValueError(f"--ring-points must be at least 1, got {cfg.ring_points}")
     if cfg.alpha is not None and cfg.beta is not None:
         point = (cfg.alpha, cfg.beta)
     else:
-        got = critical_point(cfg.m or 1, cfg.n or 1, cfg.j or 0, 1, params)
+        got = critical_point(*_block_indices(cfg), 1, params)
         if got is None:
             raise DegenerateParameterError("no critical point at the given indices")
         point = got
@@ -313,21 +324,25 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_export_eigenfunction(cfg: RunConfig) -> int:
     params = cfg.params()
-    m, n, j = cfg.m or 1, cfg.n or 1, cfg.j or 0
+    m, n, j = _block_indices(cfg)
+    if cfg.grid_t < 1 or cfg.grid_x < 1:
+        raise ValueError(
+            f"--grid-t and --grid-x must be at least 1, got {cfg.grid_t}x{cfg.grid_x}")
     grid = verify_mod.eigenfunction(params.N, m, n, j, cfg.kind, cfg.grid_t, cfg.grid_x)
     rels = symmetry_relations(maximal_orbit_generators(params.N, m, n, j)[cfg.kind])
     checks = verify_mod.symmetry_check(grid, rels, tol=cfg.symmetry_tol)
     if not all(r["pass"] for r in checks.values()):
         raise ExactnessError("exported eigenfunction violates its own relations")
     out = cfg.out or f"eigenfunction_{cfg.kind}_{m}_{n}_{j}.csv"
+    # the bytes csv.writer would write, one %-format per row; strings larger
+    # than a row (a plane, the grid) fragment the heap of a long-lived caller
+    row = ",".join(["%.16g"] * (params.N + 2)) + "\r\n"
+    x_grid = grid.x_grid.tolist()
     with Path(out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"] + [f"u{i+1}" for i in range(params.N)])
-        for ti, t in enumerate(grid.t_grid):
-            for xi_, x in enumerate(grid.x_grid):
-                writer.writerow([f"{t:.16g}", f"{x:.16g}"] + [
-                    f"{v:.16g}" for v in grid.values[ti, xi_]
-                ])
+        csv.writer(fh).writerow(["t", "x"] + [f"u{i+1}" for i in range(params.N)])
+        for t, plane in zip(grid.t_grid.tolist(), grid.values):
+            for x, vals in zip(x_grid, plane.tolist()):
+                fh.write(row % (t, x, *vals))
     summary = {
         "schema": SCHEMA_VERSION,
         "kind": cfg.kind,
@@ -444,6 +459,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, RingwavesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # _load_config maps its own read errors; the rest are writes
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -107,10 +107,14 @@ def spectral_eigenvalue_deviation(
             for n in range(1, disc.m_x + 1):
                 val = mu_numerator(m, n, j, k, disc.alpha, disc.beta, params)
                 want.extend([val, val.conjugate()])
-        got = np.array(sorted(got, key=lambda z: (round(z.real, 8), z.imag)))
-        want = np.array(sorted(want, key=lambda z: (round(z.real, 8), z.imag)))
+        got, want = _lex_sorted(got), _lex_sorted(np.array(want))
         worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
+
+
+def _lex_sorted(z: np.ndarray) -> np.ndarray:
+    """Sort by real part rounded to 8 decimals, then by imaginary part."""
+    return z[np.lexsort((z.imag, np.round(z.real, 8)))]
 
 
 def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> np.ndarray:

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ringwaves.cli import main
+from ringwaves.verify import eigenfunction
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *args):
@@ -117,6 +122,44 @@ def test_export_eigenfunction_roundtrip(tmp_path, capsys):
     assert float(rows[1][2]) == pytest.approx(np.cos(x0))
 
 
+def _csv_writer_oracle(path, grid):
+    """The export's former writer: csv.writer rows of f"{v:.16g}" strings."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x"] + [f"u{i+1}" for i in range(grid.values.shape[2])])
+        for ti, t in enumerate(grid.t_grid):
+            for xi_, x in enumerate(grid.x_grid):
+                writer.writerow([f"{t:.16g}", f"{x:.16g}"] + [
+                    f"{v:.16g}" for v in grid.values[ti, xi_]
+                ])
+
+
+@pytest.mark.parametrize("grid", [(128, 64), (64, 32), (17, 9)], ids=lambda g: "%dx%d" % g)
+@pytest.mark.parametrize("kind", ["H", "S", "T"])
+@pytest.mark.parametrize("N", [3, 4, 7, 12])
+def test_export_csv_bytes_match_csv_writer(tmp_path, capsys, N, kind, grid):
+    m_t, m_x = grid
+    out_csv = tmp_path / "u.csv"
+    code = main([
+        "export-eigenfunction", "--N", str(N), "--m", "1", "--n", "1", "--j", "1",
+        "--kind", kind, "--grid-t", str(m_t), "--grid-x", str(m_x), "--out", str(out_csv),
+    ])
+    assert code == 0
+    oracle = tmp_path / "oracle.csv"
+    _csv_writer_oracle(oracle, eigenfunction(N, 1, 1, 1, kind, m_t, m_x))
+    assert out_csv.read_bytes() == oracle.read_bytes()
+
+
+def test_readme_export_matches_golden(tmp_path, monkeypatch, capsys):
+    golden = json.loads((DATA / "export_eigenfunction_T7.json").read_text())
+    monkeypatch.chdir(tmp_path)  # the report names the CSV as given by --out
+    code, out = run(capsys, *golden["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["stdout_sha256"]
+    digest = hashlib.sha256((tmp_path / golden["csv"]).read_bytes()).hexdigest()
+    assert digest == golden["csv_sha256"]
+
+
 def test_export_invalid_kind_fails(capsys):
     code = main([
         "export-eigenfunction", "--N", "7", "--m", "1", "--n", "1", "--j", "0",
@@ -214,6 +257,48 @@ def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, conf
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export-eigenfunction", "--N", "4", "--grid-t", "8", "--grid-x", "4",
+         "--out", "/nonexistent/d/u.csv"],
+        ["verify", "--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2",
+         "--out", "/nonexistent/d/scan.json"],
+        ["group-tables", "--N", "3", "--out", "/proc/x"],
+    ],
+    ids=["export", "verify", "group-tables"],
+)
+def test_unwritable_out_exits_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["verify", "--m", "0"], "--m"),
+        (["verify", "--n", "-1"], "--n"),
+        (["verify", "--ring-points", "0"], "--ring-points"),
+        (["export-eigenfunction", "--m", "0"], "--m"),
+        (["export-eigenfunction", "--n", "0"], "--n"),
+        (["export-eigenfunction", "--grid-t", "0"], "--grid-t"),
+        (["export-eigenfunction", "--grid-x", "0"], "--grid-x"),
+    ],
+    ids=["verify-m", "verify-n", "verify-ring-points", "export-m", "export-n",
+         "export-grid-t", "export-grid-x"],
+)
+def test_out_of_range_indices_and_sizes_rejected(tmp_path, monkeypatch, capsys, argv, word):
+    # --m 0 used to run silently as m = 1
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--N", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
