@@ -276,6 +276,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.params()
     if cfg.ring_points < 1:
         raise ValueError(f"--ring-points must be at least 1, got {cfg.ring_points}")
+    if not 0 < cfg.ring_radius < float("inf"):
+        raise ValueError(f"--ring-radius must be positive and finite, got {cfg.ring_radius}")
+    if cfg.out and Path(cfg.out).suffix == ".csv":
+        raise ValueError(f"--out {cfg.out} ends in .csv, the name of the ring CSV beside it")
     if cfg.alpha is not None and cfg.beta is not None:
         point = (cfg.alpha, cfg.beta)
     else:
@@ -328,6 +332,8 @@ def cmd_export_eigenfunction(cfg: RunConfig) -> int:
     if cfg.grid_t < 1 or cfg.grid_x < 1:
         raise ValueError(
             f"--grid-t and --grid-x must be at least 1, got {cfg.grid_t}x{cfg.grid_x}")
+    if not cfg.symmetry_tol >= 0:
+        raise ValueError(f"--symmetry-tol must be at least 0, got {cfg.symmetry_tol}")
     grid = verify_mod.eigenfunction(params.N, m, n, j, cfg.kind, cfg.grid_t, cfg.grid_x)
     rels = symmetry_relations(maximal_orbit_generators(params.N, m, n, j)[cfg.kind])
     checks = verify_mod.symmetry_check(grid, rels, tol=cfg.symmetry_tol)
@@ -412,8 +418,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input: exit 1, one line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringwaves",
         description="Symmetry-certified bifurcation predictions for a ring of "
         "delayed, damped coupled wave equations.",
@@ -446,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         return COMMANDS[args.command](cfg)
     except DegenerateParameterError as exc:

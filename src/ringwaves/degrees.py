@@ -9,36 +9,23 @@ are the maximal isotropy types of W_m (x) V away from the origin.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import getitem
 
 from .burnside import BurnsideElement
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice
-from .reps import FIXED_DIM_TOL, DressedIrrep, GIrrep, cos_turn
+from .reps import DressedIrrep, GIrrep, galois_average
 from .twisted import TwistedContext, TwistedOrbitType, TwistedSum
 
 
-@lru_cache(maxsize=None)
-def _characters(rep: DressedIrrep, group) -> tuple:
-    """rep.char of every element of `group`, by element index."""
-    return tuple(rep.char(g) for g in group.elements)
-
-
 def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
-    """dim V^H for every subgroup class, by character averaging."""
-    chars = _characters(rep, lattice.group)
-    dims = []
-    for sub in lattice.reps:
-        total = 0.0
-        for k in sub.elems:
-            total += chars[k]
-        avg = total / sub.order
-        dim = round(avg)
-        if abs(avg - dim) > FIXED_DIM_TOL:
-            raise ExactnessError(f"non-integer fixed dimension {avg}")
-        dims.append(dim)
-    return dims
+    """dim V^H for every subgroup class; the order of the group is a
+    multiple of every element's order, so characters live in Q(zeta_|G|)."""
+    L = lattice.group.order
+    traces = [rep.trace(g, L) for g in lattice.group.elements]
+    return [galois_average(map(traces.__getitem__, sub.elems), L, sub.order)
+            for sub in lattice.reps]
 
 
 @lru_cache(maxsize=None)
@@ -76,9 +63,16 @@ def linear_iso_degree(neg_spectrum, lattice: SubgroupClassLattice) -> BurnsideEl
 
 
 @lru_cache(maxsize=None)
-def _turn_cosines(denominator: int) -> tuple:
-    """cos_turn(t / denominator) for every integer turn t of a context."""
-    return tuple(cos_turn(Fraction(t, denominator)) for t in range(denominator))
+def _twisted_fixed_dims(ctx: TwistedContext, rep: DressedIrrep) -> tuple:
+    """twisted_fixed_dim of every (K, phi)-class; row k of the trace table, over
+    every turn t, is a signed copy of the base irrep's row at k's dihedral part."""
+    L, elements = ctx.denominator, ctx.group.elements
+    base = {d: [rep.base.trace(d, L, t) for t in range(L)] for d in {g.dihedral for g in elements}}
+    rows = [[rep.sign(g) * v for v in base[g.dihedral]] for g in elements]
+    return tuple(
+        galois_average(map(getitem, map(rows.__getitem__, elems), turns), L, len(elems))
+        for elems, turns in ctx._classes
+    )
 
 
 def twisted_fixed_dim(ctx: TwistedContext, kphi: int, rep: DressedIrrep) -> int:
@@ -87,27 +81,12 @@ def twisted_fixed_dim(ctx: TwistedContext, kphi: int, rep: DressedIrrep) -> int:
     Each (z, k) with z^l = phi(k) acts as the plane rotation by phi(k)
     tensored with the dressed action, so the average runs over K only.
     """
-    elems, turns = ctx._classes[kphi]
-    cosines = _turn_cosines(ctx.denominator)
-    chars = _characters(rep, ctx.group)
-    total = 0.0
-    for k, turn in zip(elems, turns):
-        total += 2.0 * cosines[turn] * chars[k]
-    avg = total / len(elems)
-    dim = round(avg)
-    if abs(avg - dim) > FIXED_DIM_TOL:
-        raise ExactnessError(f"non-integer twisted fixed dimension {avg}")
-    return dim
+    return _twisted_fixed_dims(ctx, rep)[kphi]
 
 
 @lru_cache(maxsize=None)
 def _positive_dim_types(ctx: TwistedContext, rep: DressedIrrep):
-    out = []
-    for kphi in range(ctx.n_types):
-        d = twisted_fixed_dim(ctx, kphi, rep)
-        if d > 0:
-            out.append((kphi, d))
-    return out
+    return [(kphi, d) for kphi, d in enumerate(_twisted_fixed_dims(ctx, rep)) if d > 0]
 
 
 @lru_cache(maxsize=None)

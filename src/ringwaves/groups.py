@@ -374,9 +374,6 @@ class SubgroupClassLattice:
     def full_class(self) -> int:
         return 0
 
-    def trivial_class(self) -> int:
-        return self.n_classes - 1
-
     def class_label(self, c: int) -> str:
         rep = self.reps[c]
         return f"|{rep.order}|" + ",".join(str(e) for e in rep.elems[:6]) + (

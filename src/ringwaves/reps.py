@@ -7,9 +7,10 @@ geometric ones rho_j, the orientation character ("sign", reflections act by
 ("signsign").  Geometric irreps are stored as explicit 2x2 matrix models so
 characters are derived and an averaging-projector oracle is possible.
 
-Fixed-point dimensions come from character averaging over the finite group
-generated by the given elements; circle coordinates must be exact rational
-turns so that group is finite.
+Fixed-point dimensions are exact: a character's sum over a finite group is
+rational and its values are sums of L-th roots of unity, so the sum is its
+trace over Q(zeta_L), a sum of integer Ramanujan sums, divided by phi(L).
+Circle coordinates must be exact rational turns so that group is finite.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ExactnessError
 from .groups import DihedralElement, GammaPrimeElement, generated
-
-FIXED_DIM_TOL = 1e-9
 
 _EXACT_COS = {
     Fraction(0, 1): 1.0,
@@ -46,8 +46,25 @@ def cos_turn(turn: Fraction) -> float:
     return math.cos(2.0 * math.pi * float(t))
 
 
-def sin_turn(turn: Fraction) -> float:
-    return cos_turn(turn - Fraction(1, 4))
+@lru_cache(maxsize=None)
+def _ramanujan(L: int) -> tuple:
+    """Ramanujan's sums c_L(e), the traces of zeta_L^e over Q(zeta_L), for
+    e = 0..L-1; c_L(0) = phi(L).  Each L-th root of unity is primitive of
+    exactly one order d | L, so the c_d(e) over d | L sum to L [L | e]."""
+    return tuple(
+        (0 if e else L) - sum(_ramanujan(d)[e % d] for d in range(1, L) if L % d == 0)
+        for e in range(L)
+    )
+
+
+def galois_average(traces, L: int, order: int) -> int:
+    """Average over `order` elements of a character given by the traces of its
+    values over Q(zeta_L): sum(traces) / (phi(L) * order), exactly."""
+    total = sum(traces)
+    dim, rem = divmod(total, _ramanujan(L)[0] * order)
+    if rem:
+        raise ExactnessError(f"character sum {total} is not divisible by phi({L}) * {order}")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -71,17 +88,35 @@ class DihedralIrrep:
         return rot
 
     def char(self, g: DihedralElement) -> float:
-        if self.label == "trivial":
-            return 1.0
-        if self.label == "sign":
-            return -1.0 if g.ref else 1.0
-        if self.label == "half":
-            return float((-1) ** g.rot)
-        if self.label == "signsign":
-            return float((-1) ** (g.rot + g.ref))
+        if self.dim == 1:
+            return float(self.sign(g))
         if g.ref:
             return 0.0
         return 2.0 * cos_turn(Fraction(self.j * g.rot, self.N))
+
+    def sign(self, g: DihedralElement) -> int:
+        """Value of a one-dimensional irrep at g."""
+        if self.label == "sign":
+            return -1 if g.ref else 1
+        if self.label == "half":
+            return (-1) ** g.rot
+        if self.label == "signsign":
+            return (-1) ** (g.rot + g.ref)
+        return 1
+
+    def trace(self, g: DihedralElement, L: int, b: int | None = None) -> int:
+        """Trace over Q(zeta_L) of char(g), times zeta_L^b + zeta_L^-b unless
+        b is None; N must divide L.  On a rotation a geometric irrep is
+        zeta^a + zeta^-a with a = j rot L/N, and c_L is even."""
+        c = _ramanujan(L)
+        if self.dim == 1:
+            return self.sign(g) * (c[0] if b is None else 2 * c[b % L])
+        if g.ref:
+            return 0
+        a = self.j * g.rot * (L // self.N)
+        if b is None:
+            return 2 * c[a % L]
+        return 2 * (c[(a + b) % L] + c[(a - b) % L])
 
 
 def character_table(N: int) -> list[DihedralIrrep]:
@@ -110,36 +145,15 @@ def isotypic_irreps(N: int) -> list[DihedralIrrep]:
     return out
 
 
-def char_inner(N: int, chi_a, chi_b) -> float:
-    """(1/|D_N|) sum chi_a(g) chi_b(g) over the full group."""
-    total = 0.0
-    for ref in (False, True):
-        for rot in range(N):
-            g = DihedralElement(rot, ref, N)
-            total += chi_a(g) * chi_b(g)
-    return total / (2 * N)
-
-
-def permutation_character(N: int) -> "callable":
-    """Character of the vertex-permutation representation: fixed-point count."""
-
-    def chi(g: DihedralElement) -> float:
-        return float(sum(1 for i in range(N) if g.vertex(i) == i))
-
-    return chi
-
-
 def permutation_isotypic(N: int) -> dict:
-    """Nonzero multiplicities of each irrep inside the permutation rep."""
-    chi_v = permutation_character(N)
+    """Nonzero multiplicities of irreps in the permutation rep (fixed-vertex counts)."""
+    group = [DihedralElement(rot, ref, N) for ref in (False, True) for rot in range(N)]
+    fixed = [sum(1 for i in range(N) if g.vertex(i) == i) for g in group]
     out = {}
     for ir in character_table(N):
-        m = char_inner(N, chi_v, ir.char)
-        mi = round(m)
-        if abs(m - mi) > FIXED_DIM_TOL:
-            raise ExactnessError(f"non-integer multiplicity {m} for {ir.label}")
-        if mi:
-            out[ir.label] = mi
+        m = galois_average((f * ir.trace(g, N) for f, g in zip(fixed, group)), N, len(group))
+        if m:
+            out[ir.label] = m
     return out
 
 
@@ -158,11 +172,13 @@ class DressedIrrep:
         return self.base.dim
 
     def sign(self, g: GammaPrimeElement) -> int:
-        s = g.kappa1 * (g.kappa2 if self.bit else 1)
-        return s
+        return g.kappa1 * (g.kappa2 if self.bit else 1)
 
     def char(self, g: GammaPrimeElement) -> float:
         return self.sign(g) * self.base.char(g.dihedral)
+
+    def trace(self, g: GammaPrimeElement, L: int, b: int | None = None) -> int:
+        return self.sign(g) * self.base.trace(g.dihedral, L, b)
 
     def matrix(self, g: GammaPrimeElement) -> np.ndarray:
         return self.sign(g) * self.base.matrix(g.dihedral)
@@ -187,6 +203,13 @@ class GIrrep:
         if self.m == 0:
             return self.dressed.char(g)
         return 2.0 * cos_turn(self.m * turn) * self.dressed.char(g)
+
+    def trace(self, turn: Fraction, g: GammaPrimeElement, L: int) -> int:
+        """Trace over Q(zeta_L) of char(turn, g); L * turn must be an integer."""
+        if self.m == 0:
+            return self.dressed.trace(g, L)
+        b = self.m * turn.numerator * (L // turn.denominator) % L
+        return self.dressed.trace(g, L, b)
 
     def matrix(self, turn: Fraction, g: GammaPrimeElement) -> np.ndarray:
         if self.m == 0:
@@ -245,12 +268,8 @@ def fixed_dim(rep, generators) -> int:
     else:
         pairs = list(generators)
     group = generated_group(pairs)
-    total = sum(rep.char(t, g) for t, g in group)
-    avg = total / len(group)
-    dim = round(avg)
-    if abs(avg - dim) > FIXED_DIM_TOL:
-        raise ExactnessError(f"fixed-dimension average {avg} is not an integer")
-    return dim
+    L = math.lcm(rep.dressed.base.N, *(t.denominator for t, _ in pairs))
+    return galois_average((rep.trace(t, g, L) for t, g in group), L, len(group))
 
 
 def fixed_dim_projector_oracle(rep, generators) -> int:

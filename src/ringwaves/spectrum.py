@@ -116,10 +116,10 @@ class ModelParams:
             object.__setattr__(self, "nu", Fraction(self.nu))
         if self.nu <= 0:
             raise ValueError("wave frequency must be a positive rational")
-        if self.delta <= 0:
-            raise ValueError("damping must be positive")
-        if self.tau <= 0:
-            raise ValueError("delay must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("damping must be positive and finite")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("delay must be positive and finite")
         if self.N < 3:
             raise ValueError("cycle model needs N >= 3")
         if self.eigendata is None:
@@ -159,9 +159,7 @@ def xi(m: int, n: int, params: ModelParams) -> complex:
     return complex(-nu2 * m * m + n * n + 1.0, params.delta * m)
 
 
-def xi_lower_bound_constant(
-    params: ModelParams, window_m: int | None = None, window_n: int | None = None
-) -> float:
+def xi_lower_bound_constant(params: ModelParams) -> float:
     """C > 0 with |xi_{m,n}| >= C (m + n) for all m >= 0, n >= 1.
 
     Assembled exactly like the estimate's case split: one constant for the
@@ -173,12 +171,10 @@ def xi_lower_bound_constant(
     d1 = (delta / 4.0) * min(q / p, 1.0)
     d2 = (1.0 / q) * min(1.0, p / q + delta * q / 2.0)
     d3 = min(1.0, delta)
-    if window_m is None:
-        window_m = math.ceil(2.0 / delta)  # smallest M with delta*m >= 2 for m >= M
-    if window_n is None:
-        # smallest N_w with n^2 >= n + 4 nu^2 / delta^2 + 1 for all n >= N_w
-        c = 4.0 * float(params.nu) ** 2 / delta**2 + 1.0
-        window_n = max(1, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * c)) / 2.0))
+    window_m = math.ceil(2.0 / delta)  # smallest M with delta*m >= 2 for m >= M
+    # smallest N_w with n^2 >= n + 4 nu^2 / delta^2 + 1 for all n >= N_w
+    c = 4.0 * float(params.nu) ** 2 / delta**2 + 1.0
+    window_n = max(1, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * c)) / 2.0))
     best = min(d1, d2, d3)
     for m in range(0, window_m):
         for n in range(1, window_n):
@@ -308,9 +304,6 @@ class IndexSets:
     b1_violations: tuple
     window_exceeded: tuple  # members of sigma0 outside the requested window
 
-    def slice(self, s: int):
-        return self.sigma_s.get(s, ())
-
 
 def _m_search_bound(beta: float, params: ModelParams) -> int:
     """Any vanishing mu with m >= 1 needs delta m = beta sin(m tau) <= |beta|."""
@@ -329,7 +322,6 @@ def index_sets(
     m_max: int,
     n_max: int,
     h_fixed: bool = False,
-    zero_tol: float = MU_ZERO_TOL,
 ) -> IndexSets:
     """Enumerate the vanishing and negative modes at (alpha, beta).
 
@@ -358,7 +350,7 @@ def index_sets(
                     continue
                 q = IndexQuad(m, cand, j, k)
                 val = mu(m, cand, j, k, alpha, beta, params)
-                if abs(val) <= zero_tol:
+                if abs(val) <= MU_ZERO_TOL:
                     sigma0.append(q)
                     if m > m_max or cand > n_max:
                         exceeded.append(q)
@@ -370,12 +362,12 @@ def index_sets(
     for j, k in params.eigendata.indices():
         zjk = zeta_val * (params.eigendata.z(j, k) + 1.0)
         bound = -zjk - beta
-        if bound <= 0 and abs(bound) > zero_tol:
+        if bound <= 0 and abs(bound) > MU_ZERO_TOL:
             continue
         n_hi = int(math.floor(math.sqrt(max(bound, 0.0)) + 2))
         for n in range(1, n_hi + 1):
             val = n * n + zjk + beta  # numerator of the real eigenvalue at m = 0
-            if abs(val) <= zero_tol:
+            if abs(val) <= MU_ZERO_TOL:
                 b1_violations.append((n, j, k))
             elif val < 0:
                 sigma_minus.append((n, j, k))

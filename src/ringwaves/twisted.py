@@ -201,10 +201,6 @@ class TwistedContext:
         phi = tuple((k, Fraction(u, self.denominator)) for k, u in zip(elems, turns))
         return TwistedSubgroup(frozenset(elems), phi, t.l)
 
-    def k_order(self, t) -> int:
-        kphi = t.kphi if isinstance(t, TwistedOrbitType) else t
-        return len(self._classes[kphi][0])
-
     def k_class(self, t) -> int:
         kphi = t.kphi if isinstance(t, TwistedOrbitType) else t
         return self._kclass[kphi]

@@ -25,6 +25,8 @@ import numpy as np
 from .bifurcation import folding_data
 from .spectrum import ModelParams, mu_numerator
 
+MAX_GRID_POINTS = 2_000_000  # cap on m_t * m_x: discretizations and eigenfunctions
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -43,8 +45,8 @@ def assemble(
 ) -> Discretization:
     if m_t < 4 or m_x < 4:
         raise ValueError("discretization sizes must be at least 4")
-    if m_t * m_x > 2_000_000:
-        raise ValueError("discretization size overflow guard")
+    if m_t * m_x > MAX_GRID_POINTS:
+        raise ValueError(f"grid {m_t}x{m_x} exceeds {MAX_GRID_POINTS} points")
     if mode == "spectral":
         blocks = {
             j: _spectral_block(params, alpha, beta, j, k, m_t, m_x)
@@ -137,6 +139,8 @@ def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> np.ndarray:
     stencil[1] = nu2 / (dt * dt) - delta / (2.0 * dt)
     stencil[-1] = nu2 / (dt * dt) + delta / (2.0 * dt)
     s = tau / dt  # delay between the two bracketing time planes
+    if not math.isfinite(s):
+        raise ValueError(f"delay {tau} overflows the {m_t}-step time grid")
     s_hi = math.ceil(s)
     w = s_hi - s
     stencil[(s_hi - 1) % m_t] += beta * w
@@ -204,6 +208,8 @@ def eigenfunction(
     standing profile in its real part (fixed by a plain reflection) and S the
     complementary standing profile.
     """
+    if m_t * m_x > MAX_GRID_POINTS:
+        raise ValueError(f"grid {m_t}x{m_x} exceeds {MAX_GRID_POINTS} points")
     t = np.linspace(0.0, 2.0 * math.pi, m_t, endpoint=False)
     x = -math.pi / 2 + math.pi * np.arange(1, m_x + 1) / (m_x + 1)
     prof = transverse_profile(n, x)

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringwaves import verify
 from ringwaves.cli import main
 from ringwaves.verify import eigenfunction
 
@@ -299,6 +306,85 @@ def test_out_of_range_indices_and_sizes_rejected(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["verify", "--ring-radius", "0"], "--ring-radius"),
+        (["verify", "--ring-radius", "-0.1"], "--ring-radius"),
+        (["verify", "--ring-radius", "nan"], "--ring-radius"),
+        (["verify", "--ring-radius", "inf"], "--ring-radius"),
+        (["verify", "--out", "scan.csv"], "--out"),
+        (["export-eigenfunction", "--symmetry-tol", "-1"], "--symmetry-tol"),
+        (["export-eigenfunction", "--symmetry-tol", "nan"], "--symmetry-tol"),
+        (["verify", "--tau", "1e308", "--alpha", "0.1", "--beta", "1.0"], "delay"),
+    ],
+    ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "verify-out-csv",
+         "symmetry-tol-negative", "symmetry-tol-nan", "verify-tau-overflow"],
+)
+def test_verify_and_export_reject_bad_values(tmp_path, monkeypatch, capsys, argv, word):
+    # --ring-radius 0 reported "no singularity", --out scan.csv overwrote its own
+    # CSV with the JSON report, --symmetry-tol -1 exited 3, and a delay of more
+    # than 1e308 time steps raised OverflowError
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_grid_cap_rejects_before_allocating(tmp_path, monkeypatch, capsys):
+    # without numpy in verify, any array the export made would raise instead
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "np", None)
+    side = str(math.isqrt(verify.MAX_GRID_POINTS) + 1)
+    assert main(["export-eigenfunction", "--N", "3", "--grid-t", side, "--grid-x", side]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _flag(name, values):
+    # name=value, so argparse takes "-1e+16" as a value and not as an option
+    return st.one_of(st.none(), values.map(lambda v: f"{name}={v}"))
+
+
+# any float at all, or one in a range where the commands run to the end
+_FLOATS = st.one_of(st.floats(0.05, 4.0), st.floats())
+
+
+@settings(max_examples=200)
+@given(
+    command=st.sampled_from(["critical-points", "predict", "invariant", "verify",
+                             "export-eigenfunction", "group-tables"]),
+    flags=st.tuples(
+        _flag("--N", st.one_of(st.integers(3, 8), st.integers(-1, 2))),
+        _flag("--m", st.integers(-1, 4)),
+        _flag("--n", st.integers(-1, 4)),
+        _flag("--j", st.integers(-1, 5)),
+        _flag("--grid-t", st.integers(-1, 64)),
+        _flag("--grid-x", st.integers(-1, 64)),
+        _flag("--ring-points", st.integers(-1, 8)),
+        _flag("--ring-radius", _FLOATS),
+        _flag("--symmetry-tol", _FLOATS),
+        _flag("--tau", _FLOATS),
+    ),
+)
+def test_random_numeric_flags_never_raise(command, flags):
+    # a warning would print more than one stderr line, so it counts as a failure;
+    # invariant needs all of m, n and j, and a drawn flag overrides these
+    argv = [command, "--m-max", "2", "--n-max", "2", "--m", "1", "--n", "1", "--j", "0"]
+    argv += [flag for flag in flags if flag]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv += ["--out", str(Path(tmp) / "out.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

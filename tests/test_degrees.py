@@ -16,21 +16,10 @@ from ringwaves.reps import DressedIrrep, GIrrep, character_table
 from ringwaves.twisted import fold, quotient_weyl_oracle
 
 
-class PlainRep:
-    """Adapter exposing a bare D_N irrep over the dihedral lattice."""
-
-    def __init__(self, ir):
-        self.ir = ir
-        self.label = ir.label
-
-    def char(self, g):
-        return self.ir.char(g)
-
-
 def test_basic_degree_sign_rep_d3():
     lat = dihedral_lattice(3)
     sign = {ir.label: ir for ir in character_table(3)}["sign"]
-    deg = basic_degree(PlainRep(sign), lat)
+    deg = basic_degree(sign, lat)
     # classes in descending order: (D3), (Z3), (Z2), (1)
     assert deg.as_dict() == {0: 1, 1: -1}
     assert multiply_oracle(deg, deg) == BurnsideElement.one(lat)
@@ -39,7 +28,7 @@ def test_basic_degree_sign_rep_d3():
 def test_basic_degree_trivial_rep_d3():
     lat = dihedral_lattice(3)
     triv = character_table(3)[0]
-    deg = basic_degree(PlainRep(triv), lat)
+    deg = basic_degree(triv, lat)
     assert deg.as_dict() == {0: -1}
     assert deg * deg == BurnsideElement.one(lat)
 
@@ -56,7 +45,7 @@ def test_involutivity_all_dressed_irreps():
 
 def test_linear_iso_degree_cases():
     lat = dihedral_lattice(3)
-    sign = PlainRep({ir.label: ir for ir in character_table(3)}["sign"])
+    sign = {ir.label: ir for ir in character_table(3)}["sign"]
     assert linear_iso_degree([], lat) == BurnsideElement.one(lat)
     assert linear_iso_degree([(sign, 1)], lat) == basic_degree(sign, lat)
     assert linear_iso_degree([(sign, 2)], lat) == BurnsideElement.one(lat)
