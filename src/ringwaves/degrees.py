@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import getitem
 
-from .burnside import BurnsideElement
+from .burnside import BurnsideElement, solve_marks
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice
 from .reps import DressedIrrep, GIrrep, galois_average
@@ -32,18 +32,9 @@ def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
 def basic_degree(rep: DressedIrrep, lattice: SubgroupClassLattice) -> BurnsideElement:
     """Degree of minus-identity on the unit ball of the dressed irrep."""
     dims = _class_fixed_dims(lattice, rep)
-    n, w = lattice.n_table, lattice.weyl
-    res: dict = {}
-    for h in range(lattice.n_classes):
-        lead = (-1) ** dims[h]
-        above = sum(v * n[h][k] * w[k] for k, v in res.items())
-        num = lead - above
-        if num % w[h]:
-            raise ExactnessError(f"non-integer basic-degree coefficient at class {h}")
-        c = num // w[h]
-        if c:
-            res[h] = c
-    return BurnsideElement.from_dict(lattice, res)
+    coeffs = solve_marks(range(lattice.n_classes), lambda h: (-1) ** dims[h],
+                         lattice.n, lattice.weyl.__getitem__)
+    return BurnsideElement.from_dict(lattice, coeffs)
 
 
 def linear_iso_degree(neg_spectrum, lattice: SubgroupClassLattice) -> BurnsideElement:
@@ -93,31 +84,21 @@ def _positive_dim_types(ctx: TwistedContext, rep: DressedIrrep):
 def twisted_basic_degree(rep: GIrrep, ctx: TwistedContext) -> TwistedSum:
     """Twisted basic degree of W_m (x) V_j^i for m >= 1.
 
-    Runs the top-down recurrence over the orbit types with positive fixed
-    dimension (the support can contain no others: fixed spaces only grow
-    downward, so every type above the positive-dimension region has exact
-    coefficient zero).
+    Solves the marks over the orbit types with positive fixed dimension (the
+    support can contain no others: fixed spaces only grow downward, so every
+    type above the positive-dimension region has exact coefficient zero).
+    The leading data dim/2 is doubled to stay in integers, and every doubled
+    coefficient must be even.
     """
     if rep.m < 1:
         raise ValueError("twisted basic degrees need folding m >= 1")
-    m = rep.m
-    res: dict = {}
     # context class ids are sorted by descending |K|: top-down order
-    for kphi, dim in _positive_dim_types(ctx, rep.dressed):
-        t = TwistedOrbitType(kphi, m)
-        above = sum(
-            v * ctx.n_t(t, tt) * ctx.weyl_t(tt) for tt, v in res.items()
-        )
-        num2 = dim - 2 * above  # numerator doubled to stay in integers
-        den2 = 2 * ctx.weyl_t(t)
-        if num2 % den2:
-            raise ExactnessError(
-                f"non-integer twisted-degree coefficient at {ctx.type_str(t)}"
-            )
-        c = num2 // den2
-        if c:
-            res[t] = c
-    return TwistedSum.from_dict(ctx, {(t.kphi, t.l): v for t, v in res.items()})
+    dims = {TwistedOrbitType(kphi, rep.m): d for kphi, d in _positive_dim_types(ctx, rep.dressed)}
+    doubled = solve_marks(dims, dims.__getitem__, ctx.n_t, ctx.weyl_t)
+    for t, c in doubled.items():
+        if c % 2:
+            raise ExactnessError(f"non-integer twisted-degree coefficient at {ctx.type_str(t)}")
+    return TwistedSum.from_dict(ctx, {t: c // 2 for t, c in doubled.items()})
 
 
 def isotropy_types(rep: GIrrep, ctx: TwistedContext):

@@ -307,12 +307,12 @@ class IndexSets:
 
 def _m_search_bound(beta: float, params: ModelParams) -> int:
     """Any vanishing mu with m >= 1 needs delta m = beta sin(m tau) <= |beta|."""
-    bound = int(math.floor(abs(beta) / params.delta + 1e-9))
-    if bound > MAX_FOLDING_BOUND:
+    bound = abs(beta) / params.delta + 1e-9  # inf for a tiny delta
+    if not bound < MAX_FOLDING_BOUND + 1:
         raise DegenerateParameterError(
-            f"null-spectrum search bound {bound} is unreasonably large"
+            f"null-spectrum search bound {bound:.6g} is unreasonably large"
         )
-    return bound
+    return int(bound)
 
 
 def index_sets(

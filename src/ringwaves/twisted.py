@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .burnside import BurnsideElement
+from .burnside import BurnsideElement, SparseSum, bilinear, solve_marks
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice, build_once, generated
 
@@ -256,62 +256,15 @@ class TwistedContext:
         return f"[{gen_str} | {phi_str} | {t.l}]"
 
 
-@dataclass(frozen=True)
-class TwistedSum:
+class TwistedSum(SparseSum):
     """Integer combination of twisted orbit types (possibly mixed foldings)."""
 
-    context: TwistedContext = field(compare=False)
-    coeffs: tuple  # sorted ((kphi, l), coeff)
+    @classmethod
+    def _key(cls, context, t) -> TwistedOrbitType:
+        return TwistedOrbitType(*t)
 
-    @staticmethod
-    def from_dict(context, d) -> "TwistedSum":
-        items = tuple(
-            sorted((TwistedOrbitType(*k), v) for k, v in d.items() if v)
-        )
-        return TwistedSum(context, items)
-
-    @staticmethod
-    def zero(context) -> "TwistedSum":
-        return TwistedSum(context, ())
-
-    @staticmethod
-    def generator(context, t: TwistedOrbitType) -> "TwistedSum":
-        return TwistedSum(context, ((t, 1),))
-
-    def as_dict(self) -> dict:
-        return {t: v for t, v in self.coeffs}
-
-    def coeff(self, t: TwistedOrbitType) -> int:
-        return self.as_dict().get(t, 0)
-
-    def support(self):
-        return [t for t, _ in self.coeffs]
-
-    def __add__(self, other: "TwistedSum") -> "TwistedSum":
-        if self.context is not other.context:
-            raise ValueError("sums live over different twisted contexts")
-        d = self.as_dict()
-        for t, v in other.coeffs:
-            d[t] = d.get(t, 0) + v
-        return TwistedSum.from_dict(self.context, d)
-
-    def __neg__(self):
-        return TwistedSum(self.context, tuple((t, -v) for t, v in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "TwistedSum":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        if scalar == 0:
-            return TwistedSum.zero(self.context)
-        return TwistedSum(self.context, tuple((t, scalar * v) for t, v in self.coeffs))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*{self.context.type_str(t)}" for t, v in self.coeffs)
+    def _label(self, t: TwistedOrbitType) -> str:
+        return self.owner.type_str(t)
 
 
 def fold(s: int, a: TwistedSum) -> TwistedSum:
@@ -324,7 +277,7 @@ def fold(s: int, a: TwistedSum) -> TwistedSum:
     if s < 1:
         raise ValueError("folding must be >= 1")
     return TwistedSum(
-        a.context,
+        a.owner,
         tuple(sorted((TwistedOrbitType(t.kphi, s * t.l), v) for t, v in a.coeffs)),
     )
 
@@ -335,15 +288,9 @@ def module_product(a: BurnsideElement, b: TwistedSum) -> TwistedSum:
     Bilinear extension of (K) * (H^{phi,l}) computed by the top-down
     recurrence on Weyl-weighted counts; all divisions must be exact.
     """
-    ctx = b.context
-    if a.lattice is not ctx.lattice:
+    if a.owner is not b.owner.lattice:
         raise ValueError("operands live over different lattices")
-    out: dict = {}
-    for kcls, va in a.coeffs:
-        for h, vb in b.coeffs:
-            for t, v in _module_generator_product(ctx, kcls, h).items():
-                out[t] = out.get(t, 0) + va * vb * v
-    return TwistedSum.from_dict(ctx, out)
+    return bilinear(a, b, partial(_module_generator_product, b.owner))
 
 
 @build_once
@@ -354,32 +301,19 @@ def twisted_context(lattice: SubgroupClassLattice) -> TwistedContext:
 
 @lru_cache(maxsize=None)
 def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitType):
+    """(K) * (H): its mark at a type t of H's folding is n(K_t, K)|W(K)| n(t, H)|W(H)|.
+
+    Types of other foldings, or not under both factors, have mark zero.
+    """
     lat = ctx.lattice
-    wk = lat.weyl[kcls]
-    wh = ctx.weyl_t(h)
-    # candidate output types: twisted-subconjugate to (H) with K-part
-    # subconjugate to (K); same folding as H
-    cands = []
+    wk, wh = lat.weyl[kcls], ctx.weyl_t(h)
+    lead = {}
+    # context class ids are ordered by descending |K|: already top-down
     for kphi in range(ctx.n_types):
         t = TwistedOrbitType(kphi, h.l)
-        if lat.n_table[ctx.k_class(kphi)][kcls] == 0:
-            continue
-        if ctx.n_t(t, h) == 0:
-            continue
-        cands.append(t)
-    # context class ids are ordered by descending |K|: already top-down
-    res: dict = {}
-    for t in cands:
-        lead = lat.n_table[ctx.k_class(t)][kcls] * wk * ctx.n_t(t, h) * wh
-        above = sum(v * ctx.n_t(t, tt) * ctx.weyl_t(tt) for tt, v in res.items())
-        num = lead - above
-        den = ctx.weyl_t(t)
-        if num % den:
-            raise ExactnessError("non-integer coefficient in module product")
-        c = num // den
-        if c:
-            res[t] = c
-    return res
+        if (nk := lat.n_table[ctx.k_class(kphi)][kcls]) and (nh := ctx.n_t(t, h)):
+            lead[t] = nk * wk * nh * wh
+    return solve_marks(lead, lead.__getitem__, ctx.n_t, ctx.weyl_t)
 
 
 # -- finite-quotient oracles -------------------------------------------------

@@ -4,15 +4,19 @@ import random
 
 import pytest
 
+from ringwaves import burnside, degrees, twisted
 from ringwaves.burnside import (
     BurnsideElement,
     multiplication_table,
     multiply,
     multiply_oracle,
     orbit_count_product_pointwise,
+    solve_marks,
     _orbit_count_product,
 )
+from ringwaves.errors import ExactnessError
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
+from ringwaves.reps import character_table
 
 # class ids in the D3 lattice (descending order): 0=(D3), 1=(Z3), 2=(Z2), 3=(1)
 D3, Z3, Z2, ONE = 0, 1, 2, 3
@@ -104,3 +108,27 @@ def test_mixed_lattice_rejected(d3):
     other = gamma_prime_lattice(3)
     with pytest.raises(ValueError):
         multiply(gen(d3, 0), BurnsideElement.generator(other, 0))
+
+
+def test_solve_marks_is_exact():
+    # two unknowns: c_0 * 1 * 2 = 2 at the top, then 1 * 1 * 2 + c_1 * 2 = lead(1)
+    order, mark, weyl = (0, 1), (lambda t, u: 1), (lambda t: 2)
+    assert solve_marks(order, {0: 2, 1: 6}.get, mark, weyl) == {0: 1, 1: 2}
+    assert solve_marks(order, {0: 2, 1: 2}.get, mark, weyl) == {0: 1}
+    with pytest.raises(ExactnessError):
+        solve_marks(order, {0: 2, 1: 3}.get, mark, weyl)
+
+
+def test_products_reach_the_traced_module_attributes(d3, monkeypatch):
+    # the benchmark's tracer counts products by wrapping these names on their modules
+    calls = []
+    real = burnside.multiply
+    monkeypatch.setattr(burnside, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert gen(d3, Z2) * gen(d3, Z3) == real(gen(d3, Z2), gen(d3, Z3))
+    assert len(calls) == 1
+    sign = {ir.label: ir for ir in character_table(3)}["sign"]
+    assert degrees.linear_iso_degree([(sign, 2)], d3) == BurnsideElement.one(d3)
+    assert len(calls) == 3
+    for module, name in [(burnside, "multiplication_table"), (twisted, "module_product"),
+                         (degrees, "twisted_basic_degree"), (degrees, "linear_iso_degree")]:
+        assert callable(vars(module)[name]), name

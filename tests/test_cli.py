@@ -167,6 +167,66 @@ def test_readme_export_matches_golden(tmp_path, monkeypatch, capsys):
     assert digest == golden["csv_sha256"]
 
 
+def _cell(text):
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
+def _read_report(path):
+    """A report as data: JSON as parsed, CSV as rows of int, float or str cells."""
+    if path.suffix == ".csv":
+        return [[_cell(c) for c in row] for row in csv.reader(path.open(newline=""))]
+    return json.loads(path.read_text())
+
+
+def _assert_same(got, want, where="$"):
+    """Integers and strings exactly, floats within 1e-12 relative."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("invariant_N3_h_fixed.json",
+         ["invariant", "--N", "3", "--tau", "2.0", "--m", "1", "--n", "1", "--j", "0",
+          "--mode", "h-fixed"]),
+        ("invariant_N6_full.json",
+         ["invariant", "--N", "6", "--m", "1", "--n", "1", "--j", "1", "--mode", "full"]),
+    ],
+    ids=["readme-h-fixed-N3", "full-N6"],
+)
+def test_invariant_matches_golden(capsys, golden, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    _assert_same(json.loads(out), _read_report(DATA / golden))
+
+
+def test_readme_group_tables_match_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "group-tables", "--N", "3", "--characters", "--out", "tables/")
+    assert code == 0
+    golden = DATA / "group_tables_N3"
+    _assert_same(json.loads(out), _read_report(golden / "stdout.json"))
+    written = sorted(p.name for p in (tmp_path / "tables").iterdir())
+    assert written == sorted(p.name for p in golden.glob("*.csv"))
+    for name in written:
+        _assert_same(_read_report(tmp_path / "tables" / name), _read_report(golden / name), name)
+
+
 def test_export_invalid_kind_fails(capsys):
     code = main([
         "export-eigenfunction", "--N", "7", "--m", "1", "--n", "1", "--j", "0",
@@ -250,9 +310,11 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"kind": "X"}),
         ([], {"zeta": "cubic"}),
         (["predict", "--nu", "1/0"], None),
+        ([], {"alpha": 0.1, "beta": float("inf")}),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
-         "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator"],
+         "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
+         "config-beta-inf"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -319,16 +381,25 @@ def test_out_of_range_indices_and_sizes_rejected(tmp_path, monkeypatch, capsys, 
         (["export-eigenfunction", "--symmetry-tol", "-1"], "--symmetry-tol"),
         (["export-eigenfunction", "--symmetry-tol", "nan"], "--symmetry-tol"),
         (["verify", "--tau", "1e308", "--alpha", "0.1", "--beta", "1.0"], "delay"),
+        (["export-eigenfunction", "--symmetry-tol", "0"], "--symmetry-tol 0"),
+        (["export-eigenfunction", "--N", "4", "--j", "1", "--kind", "S", "--symmetry-tol", "0"],
+         "--symmetry-tol 0"),
+        (["invariant", "--alpha", "0.1", "--beta", "inf"], "beta"),
+        (["invariant", "--alpha", "nan", "--beta", "1.0"], "alpha"),
+        (["verify", "--alpha", "0.1", "--beta", "inf"], "beta"),
     ],
     ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "verify-out-csv",
-         "symmetry-tol-negative", "symmetry-tol-nan", "verify-tau-overflow"],
+         "symmetry-tol-negative", "symmetry-tol-nan", "verify-tau-overflow",
+         "symmetry-tol-zero-N3", "symmetry-tol-zero-N4-S", "invariant-beta-inf",
+         "invariant-alpha-nan", "verify-beta-inf"],
 )
 def test_verify_and_export_reject_bad_values(tmp_path, monkeypatch, capsys, argv, word):
     # --ring-radius 0 reported "no singularity", --out scan.csv overwrote its own
-    # CSV with the JSON report, --symmetry-tol -1 exited 3, and a delay of more
-    # than 1e308 time steps raised OverflowError
+    # CSV with the JSON report, --symmetry-tol -1 and 0 exited 3, and a delay of
+    # more than 1e308 time steps or a beta of inf raised OverflowError
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2"]) == 1
+    small = ["--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2"]
+    assert main(argv[:1] + small + argv[1:]) == 1  # the case's own flags come last and win
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
@@ -369,6 +440,9 @@ _FLOATS = st.one_of(st.floats(0.05, 4.0), st.floats())
         _flag("--ring-radius", _FLOATS),
         _flag("--symmetry-tol", _FLOATS),
         _flag("--tau", _FLOATS),
+        _flag("--alpha", _FLOATS),
+        _flag("--beta", _FLOATS),
+        _flag("--delta", _FLOATS),
     ),
 )
 def test_random_numeric_flags_never_raise(command, flags):
