@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice
 

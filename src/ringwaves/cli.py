@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from ._lazy import np
 from .bifurcation import (
     h_fixed_invariant,
     local_invariant,
@@ -292,19 +293,22 @@ def cmd_verify(cfg: RunConfig) -> int:
         if got is None:
             raise DegenerateParameterError("no critical point at the given indices")
         point = got
-    rows = verify_mod.sigma_min_scan(
-        params,
-        point,
-        cfg.ring_radius,
-        m_t=cfg.grid_t,
-        m_x=cfg.grid_x,
-        n_ring=cfg.ring_points,
-    )
+    # an overflow or nan, say from a beta near the top of the float range,
+    # raises here instead of printing a warning and reaching the report
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rows = verify_mod.sigma_min_scan(
+            params,
+            point,
+            cfg.ring_radius,
+            m_t=cfg.grid_t,
+            m_x=cfg.grid_x,
+            n_ring=cfg.ring_points,
+        )
+        spectral = verify_mod.spectral_eigenvalue_deviation(
+            verify_mod.assemble(params, point[0], point[1], "spectral", 12, 10), params
+        )
     center = rows[0][2]
     ring_min = min(r[2] for r in rows[1:])
-    spectral = verify_mod.spectral_eigenvalue_deviation(
-        verify_mod.assemble(params, point[0], point[1], "spectral", 12, 10), params
-    )
     verdict = "singular" if center <= 0.1 * ring_min else "no singularity"
     if cfg.out:
         path = Path(cfg.out)
@@ -431,6 +435,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is invalid input: exit 1, one line
         raise ValueError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only -1 and -1.5 for negative numbers, so "--alpha
+        # -1e-1" or "--beta -inf" would read the value as an unknown option
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -478,6 +491,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, RingwavesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:  # raised under verify's np.errstate
+        print(f"error: a parameter is out of float range: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # _load_config maps its own read errors; the rest are writes
         print(f"error: cannot write output: {exc}", file=sys.stderr)

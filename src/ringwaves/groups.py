@@ -2,10 +2,11 @@
 
 Builds the dihedral group D_N and the full finite symmetry factor
 Z2 x Z2 x D_N as Cayley-complete groups with densely indexed elements,
-enumerates their subgroup lattices by cyclic extension, and organizes
-subgroups into conjugacy classes with Weyl orders and the subconjugation
-counting table n(H, K).  Everything downstream (Burnside arithmetic,
-basic degrees, twisted orbit types) consumes this data.
+lists their subgroups from the known subgroups of D_N (lifted through
+Z2 x Z2 by Goursat's lemma), and organizes subgroups into conjugacy classes
+with Weyl orders and the subconjugation counting table n(H, K).  Everything
+downstream (Burnside arithmetic, basic degrees, twisted orbit types)
+consumes this data.
 """
 
 from __future__ import annotations
@@ -231,59 +232,63 @@ class Subgroup:
         return i in self.members
 
 
-def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
-    """All subgroups of `group`, found by cyclic extension.
+def _check_order(order: int, cap: int = DEFAULT_SUBGROUP_CAP):
+    if order > cap:
+        raise SizeCapError(f"group order {order} exceeds cap {cap}")
 
-    Starts from the cyclic subgroups and repeatedly adjoins one cyclic
-    generator at a time; dedupes by element set.  Each subgroup H found
-    keeps the generator tuple that reached it, so adjoining the cyclic
-    subgroup <g> closes that tuple plus g, in right cosets of H.  Complete
-    because every subgroup is reached from any maximal chain of subgroups
-    below it.
+
+def _dihedral_subgroups(n: int):
+    """D_N's subgroups as (step s, reflection offset i or None) pairs.
+
+    For each d | N, with s = N/d: Z_d = <g^s>, and the s conjugates
+    D_d^(i) = <g^s, g^i k>, i = 0..s-1.
     """
-    if group.order > cap:
-        raise SizeCapError(f"group order {group.order} exceeds cap {cap}")
-    tab = group.table
-    bits = [1 << i for i in range(group.order)]
+    for s in range(1, n + 1):
+        if n % s == 0:
+            yield s, None
+            yield from ((s, i) for i in range(s))
 
-    def close(gens, base):
-        return generated(gens, lambda a, x: tab[a][x], base)
 
-    def mask(members):
-        return sum(bits[i] for i in members)
+def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
+    """All subgroups of D_N or of Z2 x Z2 x D_N, listed by their known form.
 
-    found = {}  # subgroup mask -> (generator tuple, members with identity first)
-    for g in range(group.order):
-        members = close([g], [group.identity])
-        found.setdefault(mask(members), ((g,), members))
-    trivial = bits[group.identity]
-    found[trivial] = ((), [group.identity])
-    cyclics = sorted(
-        (c for c in found if c != trivial), key=lambda c: (len(found[c][1]), sorted(found[c][1]))
-    )
-    cyclics = [(c, found[c][0][0]) for c in cyclics]
-    frontier = [c for c, _ in cyclics]
-    seen_unions = set(found)
-    full = (1 << group.order) - 1
-    while frontier:
-        new = []
-        for h in frontier:
-            if h == full:
-                continue
-            h_gens, h_members = found[h]
-            for c, g in cyclics:
-                union = h | c
-                if union == h or union in seen_unions:
-                    continue
-                seen_unions.add(union)
-                k_gens = h_gens + (g,)
-                members = close(k_gens, h_members)
-                k = mask(members)
-                if k not in found:
-                    found[k] = (k_gens, members)
-                    new.append(k)
-        frontier = new
-    subs = (Subgroup.from_set(members) for _, members in found.values())
+    D_N's subgroups are Z_d and the N/d conjugates of D_d, for each d | N.
+    Those of A x D_N, A = Z2 x Z2, come from Goursat's lemma: a triple
+    (A1 <| A2 <= A, D1 <| D2 <= D_N, theta: A2/A1 ~ D2/D1).  As A is
+    abelian, the triple is A1 with a homomorphism psi: D2 -> A/A1 (D1 its
+    kernel, A2/A1 its image), and the subgroup is {(a, d) : a in psi(d)}.
+    psi is fixed by u = psi(g^s), which must be trivial for odd d, and, for
+    a dihedral D2, v = psi(g^i k).  Sorted by (order, element tuple).
+    """
+    _check_order(group.order, cap)
+    first = group.elements[0]
+    if isinstance(first, DihedralElement) and group.order == 2 * first.n:
+        n, signs = first.n, [(1, 1)]
+    elif isinstance(first, GammaPrimeElement) and group.order == 8 * first.dihedral.n:
+        n, signs = first.dihedral.n, [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    else:
+        raise ValueError(f"no subgroup list for group {getattr(group, 'name', '?')}")
+    # signs[a] is the element a of A, with a ^ b its product; pos[a][ref][rot] is
+    # the index of (signs[a], g^rot k^ref)
+    pos = [[[0] * n, [0] * n] for _ in signs]
+    for idx, e in enumerate(group.elements):
+        a, d = (0, e) if len(signs) == 1 else (signs.index((e.kappa1, e.kappa2)), e.dihedral)
+        pos[a][d.ref][d.rot] = idx
+    a_subgroups = [(0,), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)][: 1 if len(signs) == 1 else 5]
+    subs = []
+    for s, i in _dihedral_subgroups(n):
+        d = n // s
+        for a1 in a_subgroups:
+            cosets = sorted({min(a ^ b for b in a1) for a in range(len(signs))})  # of A/A1
+            for u in cosets if d % 2 == 0 else (0,):
+                for v in (None,) if i is None else cosets:
+                    members = []
+                    for k in range(d):
+                        shift = u if k % 2 else 0
+                        members += (pos[a ^ shift][0][k * s] for a in a1)
+                        if v is not None:
+                            members += (pos[a ^ shift ^ v][1][(k * s + i) % n] for a in a1)
+                    subs.append(Subgroup.from_set(members))
     return sorted(subs, key=lambda s: (s.order, s.elems))
 
 
@@ -302,15 +307,21 @@ class SubgroupClassLattice:
         sub_ids = {s.members: i for i, s in enumerate(self.subgroups)}
         self.subgroup_ids = sub_ids
 
-        n_subs = len(self.subgroups)
-        class_of_sub = [-1] * n_subs
+        # per generator c of the group, the permutation h -> c h c^-1
+        self.conjugations = [
+            tuple(group.conj(c, h) for h in range(group.order))
+            for c in group.generators(range(group.order))
+        ]
+
+        def conjugate(members, conj):
+            return frozenset(map(conj.__getitem__, members))
+
+        class_of_sub = [-1] * len(self.subgroups)
         classes = []  # list of lists of subgroup ids
         for i, s in enumerate(self.subgroups):
             if class_of_sub[i] >= 0:
                 continue
-            orbit = {s.members}
-            for g in range(group.order):
-                orbit.add(group.conj_set(g, s.elems))
+            orbit = generated(self.conjugations, conjugate, [s.members])
             ids = sorted(sub_ids[m] for m in orbit)
             cid = len(classes)
             for k in ids:
@@ -344,20 +355,16 @@ class SubgroupClassLattice:
 
     def _build_n_table(self):
         """n[h][k] = number of conjugates of the class-k rep that contain rep h."""
-        conjugates = []
-        for ids in self.classes:
-            conjugates.append([self.subgroups[i].members for i in ids])
+        masks = [sum(1 << i for i in s.elems) for s in self.subgroups]
+        conjugates = [[masks[i] for i in ids] for ids in self.classes]
+        orders = [rep.order for rep in self.reps]
         table = []
-        for h in range(self.n_classes):
-            hrep = self.reps[h].members
-            horder = self.reps[h].order
-            row = []
-            for k in range(self.n_classes):
-                if self.reps[k].order % horder or self.reps[k].order < horder:
-                    row.append(0)
-                    continue
-                row.append(sum(1 for m in conjugates[k] if hrep <= m))
-            table.append(tuple(row))
+        for h, hrep in enumerate(self.reps):
+            want = masks[self.subgroup_ids[hrep.members]]
+            table.append(tuple(
+                sum(1 for m in conjugates[k] if m & want == want) if order % orders[h] == 0 else 0
+                for k, order in enumerate(orders)
+            ))
         return tuple(table)
 
     def n(self, h: int, k: int) -> int:
@@ -403,11 +410,13 @@ def build_once(build):
 
 @build_once
 def dihedral_lattice(n: int) -> SubgroupClassLattice:
+    _check_order(2 * n)  # before the Cayley table, whose size is the order squared
     return SubgroupClassLattice(dihedral_group(n))
 
 
 @build_once
 def gamma_prime_lattice(n: int) -> SubgroupClassLattice:
+    _check_order(8 * n)  # before the Cayley table, whose size is the order squared
     return SubgroupClassLattice(gamma_prime(n))
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ExactnessError
 from .groups import DihedralElement, GammaPrimeElement, generated
 

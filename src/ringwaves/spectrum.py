@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DegenerateParameterError
 from .reps import LaplacianEigendata, cycle_laplacian_eigendata
 
@@ -74,13 +73,16 @@ def linear_curve(slope: float = 1.0, offset: float = 0.0) -> CouplingCurve:
 
 def table_curve(points) -> CouplingCurve:
     """Piecewise-linear strictly monotonic curve through (alpha, value) pairs."""
-    pts = sorted(points)
-    alphas = np.array([a for a, _ in pts], dtype=float)
-    values = np.array([v for _, v in pts], dtype=float)
-    diffs = np.diff(values)
-    if len(pts) < 2 or not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("table curve must be strictly monotonic")
-    increasing = bool(diffs[0] > 0)
+    pts = sorted((float(a), float(v)) for a, v in points)
+    # every step's slope finite and of one sign: a step too steep or too long
+    # for floats, or two values at one alpha, would put inf or nan in zeta'
+    slopes = [(v1 - v0) / (a1 - a0) if a1 > a0 else math.nan
+              for (a0, v0), (a1, v1) in zip(pts, pts[1:])]
+    increasing = bool(slopes) and slopes[0] > 0
+    if not slopes or not all(0 < abs(s) < math.inf and (s > 0) == increasing for s in slopes):
+        raise ValueError("table curve must be strictly monotonic, with finite slopes")
+    alphas = np.array([a for a, _ in pts])
+    values = np.array([v for _, v in pts])
 
     def ev(a: float) -> float:
         return float(np.interp(a, alphas, values))

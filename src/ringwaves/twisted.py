@@ -17,7 +17,6 @@ and `module_product_oracle`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,29 +63,50 @@ class TwistedSubgroup:
         return dict(self.phi)
 
 
+def _commutator_subgroup(group, gens) -> frozenset:
+    """[K, K] for K = <gens>: the normal closure of the generators' commutators."""
+    tab, inv = group.table, group.inverse
+    comm = group.closure({tab[tab[inv[a]][inv[b]]][tab[a][b]] for a in gens for b in gens})
+    while extra := {group.conj(x, c) for x in gens for c in comm} - comm:
+        comm = group.closure(extra, base=comm)
+    return comm
+
+
 def _circle_homs(group, members):
     """Integer core of `hom_to_circle`: (q, [{element: turn mod q}, ...]).
 
-    Candidate turns on a greedy generating set of K, as integers mod q (the
-    lcm of the generators' orders), give a homomorphism exactly when the
-    subgroup of Z_q x K they generate has |K| elements: it is then the graph
-    of phi.
+    A homomorphism K -> S^1 factors through K^ab = K / [K, K].  Greedy
+    generators a_1..a_r of K^ab grow a chain [K, K] = B_0 < ... < B_r = K,
+    where B_i is the union of the cosets a_i^e B_{i-1}, e < o_i, and o_i is
+    the least o with a_i^o in B_{i-1}.  A homomorphism on B_{i-1} extends to
+    B_i once phi(a_i) = t solves o_i t = phi(a_i^o_i); with turns as
+    integers mod q (the lcm of the a_i's orders, which o_i divides) that
+    equation has o_i solutions.  Each homomorphism is one pass over K.
     """
-    gens = group.generators(sorted(members))
-    if not gens:  # trivial subgroup
-        return 1, [{group.identity: 0}]
-    orders = [group.element_order(g) for g in gens]
-    q = math.lcm(*orders)
     tab = group.table
-
-    def mul(a, b):
-        return ((a[0] + b[0]) % q, tab[a[1]][b[1]])
-
-    homs = []
-    for values in itertools.product(*(range(0, q, q // o) for o in orders)):
-        graph = generated(list(zip(values, gens)), mul, [(0, group.identity)], limit=len(members))
-        if graph is not None:
-            homs.append({k: t for t, k in graph})
+    comm = _commutator_subgroup(group, group.generators(sorted(members)))
+    chain, levels = comm, []  # levels: (powers a_i^0..a_i^(o_i - 1), a_i^o_i)
+    for x in sorted(members):
+        if x not in chain:
+            powers, y = [group.identity], x
+            while y not in chain:
+                powers.append(y)
+                y = tab[y][x]
+            levels.append((powers, y))
+            chain = {tab[p][b] for p in powers for b in chain}
+    q = math.lcm(*(group.element_order(powers[1]) for powers, _ in levels))
+    homs = [dict.fromkeys(comm, 0)]
+    for powers, top in levels:
+        o = len(powers)
+        grown = []
+        for phi in homs:
+            base, r = divmod(phi[top], o)
+            if r:
+                raise ExactnessError(f"{o} * t = {phi[top]} has no solution mod {q}")
+            for t in range(base, q, q // o):
+                grown.append({tab[p][b]: (u + e * t) % q
+                              for e, p in enumerate(powers) for b, u in phi.items()})
+        homs = grown
     return q, homs
 
 
@@ -112,9 +132,6 @@ class TwistedContext:
         self.lattice = lattice
         self.group = g = lattice.group
         self.denominator = math.lcm(*(g.element_order(x) for x in range(g.order)))
-        self._conj_gens = [
-            tuple(g.conj(c, h) for h in range(g.order)) for c in g.generators(range(g.order))
-        ]
         self._classes = []  # canonical keys: (K tuple, turn tuple)
         self._class_ids = {}
         # per class, one (K mask, graph mask) per conjugate (K', phi'): K mask
@@ -123,18 +140,30 @@ class TwistedContext:
         self._weyl = []
         self._kclass = []  # lattice class id of K
         self._n_cache = {}
+        self._moves = {}  # (K tuple, generator) -> (K' tuple, position permutation)
         self._build()
 
     # -- construction ------------------------------------------------------
 
     def _orbit(self, key) -> set:
-        """Gamma'-orbit of the (K tuple, turn tuple) key, as a set of keys."""
+        """Gamma'-orbit of the (K tuple, turn tuple) key, as a set of keys.
 
-        def conjugate(key, conj):
-            pairs = sorted(zip([conj[k] for k in key[0]], key[1]))
-            return tuple(k for k, _ in pairs), tuple(t for _, t in pairs)
+        Conjugating by a generator c sends the sorted K tuple to a sorted
+        tuple K' and permutes positions; each (K, c) move is found once and
+        serves every phi on K.
+        """
+        moves = self._moves
 
-        return set(generated(self._conj_gens, conjugate, [key]))
+        def conjugate(key, c):
+            elems, turns = key
+            move = moves.get((elems, c))
+            if move is None:
+                conj = self.lattice.conjugations[c]
+                image = sorted((conj[k], i) for i, k in enumerate(elems))
+                move = moves[elems, c] = tuple(k for k, _ in image), [i for _, i in image]
+            return move[0], tuple(map(turns.__getitem__, move[1]))
+
+        return set(generated(range(len(self.lattice.conjugations)), conjugate, [key]))
 
     def _canonical_key(self, phi: dict):
         """Least key in the orbit of (K, phi); phi's turns may be any rationals."""

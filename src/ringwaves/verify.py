@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .bifurcation import folding_data
 from .spectrum import ModelParams, mu_numerator
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -311,10 +312,13 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"zeta": "cubic"}),
         (["predict", "--nu", "1/0"], None),
         ([], {"alpha": 0.1, "beta": float("inf")}),
+        ([], {"zeta": "table", "zeta_table": [[0, 0], [5e-324, 1]]}),
+        ([], {"zeta": "table", "zeta_table": [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]}),
+        ([], {"zeta": "table", "zeta_table": [[0, 0], [0, 1], [1, 2]]}),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
-         "config-beta-inf"],
+         "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -387,11 +391,12 @@ def test_out_of_range_indices_and_sizes_rejected(tmp_path, monkeypatch, capsys, 
         (["invariant", "--alpha", "0.1", "--beta", "inf"], "beta"),
         (["invariant", "--alpha", "nan", "--beta", "1.0"], "alpha"),
         (["verify", "--alpha", "0.1", "--beta", "inf"], "beta"),
+        (["verify", "--alpha", "1.0", "--beta", "1.7e308"], "float range"),
     ],
     ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "verify-out-csv",
          "symmetry-tol-negative", "symmetry-tol-nan", "verify-tau-overflow",
          "symmetry-tol-zero-N3", "symmetry-tol-zero-N4-S", "invariant-beta-inf",
-         "invariant-alpha-nan", "verify-beta-inf"],
+         "invariant-alpha-nan", "verify-beta-inf", "verify-beta-overflow"],
 )
 def test_verify_and_export_reject_bad_values(tmp_path, monkeypatch, capsys, argv, word):
     # --ring-radius 0 reported "no singularity", --out scan.csv overwrote its own
@@ -417,8 +422,9 @@ def test_export_grid_cap_rejects_before_allocating(tmp_path, monkeypatch, capsys
 
 
 def _flag(name, values):
-    # name=value, so argparse takes "-1e+16" as a value and not as an option
-    return st.one_of(st.none(), values.map(lambda v: f"{name}={v}"))
+    # "name=value" or "name value"; either way "-1e+16" is a value, not an option
+    spellings = st.sampled_from([lambda v: [f"{name}={v}"], lambda v: [name, str(v)]])
+    return st.one_of(st.none(), st.tuples(spellings, values).map(lambda sv: sv[0](sv[1])))
 
 
 # any float at all, or one in a range where the commands run to the end
@@ -449,7 +455,7 @@ def test_random_numeric_flags_never_raise(command, flags):
     # a warning would print more than one stderr line, so it counts as a failure;
     # invariant needs all of m, n and j, and a drawn flag overrides these
     argv = [command, "--m-max", "2", "--n-max", "2", "--m", "1", "--n", "1", "--j", "0"]
-    argv += [flag for flag in flags if flag]
+    argv += [token for flag in flags if flag for token in flag]
     with tempfile.TemporaryDirectory() as tmp:
         argv += ["--out", str(Path(tmp) / "out.json")]
         out, err = io.StringIO(), io.StringIO()
@@ -459,6 +465,75 @@ def test_random_numeric_flags_never_raise(command, flags):
             code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-1E-1", "-.1", "-0.1e0"])
+def test_negative_float_with_exponent_is_a_value(capsys, value):
+    # argparse alone reads only -1 and -1.5 as numbers: "--alpha -1e-1" exited 1
+    assert main(["invariant", "--N", "3", "--alpha", value, "--beta", "1.0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["invariant", "--N", "3", f"--alpha={value}", "--beta", "1.0"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+# every RunConfig field, with values that are often wrong in range or choice;
+# _JUNK holds values of the wrong JSON type
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(-1, 2), max_size=2), st.just({"a": 1}))
+_SMALL = st.integers(-2, 3)
+_CONFIG_VALUES = {
+    "nu": st.sampled_from(["1/1", "1/2", "3/4", "2", "1/0", "x/2", "1.5"]),
+    "delta": _FLOATS, "tau": _FLOATS, "alpha": _FLOATS, "beta": _FLOATS,
+    "ring_radius": _FLOATS, "symmetry_tol": _FLOATS,
+    "N": st.integers(-1, 6), "m_max": _SMALL, "n_max": _SMALL,
+    "m": _SMALL, "n": _SMALL, "j": st.integers(-1, 4),
+    "grid_t": st.integers(-1, 16), "grid_x": st.integers(-1, 8), "ring_points": _SMALL,
+    "zeta": st.sampled_from(["sigmoid", "linear", "table", "cubic"]),
+    "mode": st.sampled_from(["full", "h-fixed", "ful"]),
+    "prediction_mode": st.sampled_from(["local", "global", "both"]),
+    "kind": st.sampled_from(["H", "S", "T", "X"]),
+    "characters": st.booleans(),
+    "zeta_table": st.lists(st.lists(_FLOATS, max_size=3), max_size=3),
+    "eigendata": st.lists(st.lists(st.one_of(st.integers(-1, 3), _FLOATS), max_size=4),
+                          max_size=3),
+    "out": st.sampled_from(["out.json", "sub/dir/out.json", ""]),
+}
+
+
+@contextlib.contextmanager
+def _inside(path):  # contextlib.chdir needs Python 3.11
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+@settings(max_examples=150)
+@given(
+    command=st.sampled_from(["critical-points", "predict", "invariant", "verify",
+                             "export-eigenfunction", "group-tables"]),
+    config=st.sets(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=5).flatmap(
+        lambda keys: st.fixed_dictionaries({key: _CONFIG_VALUES[key] for key in keys})),
+    wrong=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_CONFIG_VALUES) + ["n_maxx"]),
+                                         _JUNK)),
+)
+def test_random_config_files_never_raise(command, config, wrong):
+    # a config file is one more way in: no traceback, one stderr line on failure;
+    # `wrong` puts a value of the wrong type, or an unknown key, into the file
+    if wrong is not None:
+        config[wrong[0]] = wrong[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), _inside(tmp):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2, 3), config
+    assert err.getvalue().count("\n") == (code != 0), (config, err.getvalue())
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
@@ -474,3 +549,68 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                          capture_output=True, text=True, env=env, check=True, timeout=120)
     assert got.stdout.strip() == "0 False"
     assert (tmp_path / "scan.json").exists()
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    # numpy loads on the first float computation: the exact path never makes one
+    code = (
+        "import contextlib, io, sys, ringwaves.cli as cli\n"
+        "runs = [['critical-points'], ['predict', '--N', '6', '--m-max', '3', '--n-max', '3'],\n"
+        "        ['invariant', '--mode', 'full', '--m', '1', '--n', '1', '--j', '0']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+        "print(codes, loaded, 'ringwaves.verify' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--N', '3', '--grid-t', '16', '--grid-x', '8',"
+        " '--ring-points', '2', '--out', sys.argv[1]])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    got = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scan.json")],
+                         capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert got.stdout.splitlines() == ["[0, 0, 0] [] True", "0 True"]
+
+
+def test_no_module_imports_numpy_at_top_level():
+    src = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "numpy"]
+    assert found == []
+    assert "import numpy" in (src / "_lazy.py").read_text()  # the one deferred import
+
+
+def test_concurrent_first_numpy_use_matches_serial():
+    # four threads make the process's first float computation at the same moment
+    code = (
+        "import sys, threading\n"
+        "import ringwaves.cli\n"
+        "from ringwaves.bifurcation import maximal_orbit_generators, symmetry_relations\n"
+        "from ringwaves.verify import eigenfunction, symmetry_check\n"
+        "rels = symmetry_relations(maximal_orbit_generators(7, 1, 1, 1)['T'])\n"
+        "def work():\n"
+        "    grid = eigenfunction(7, 1, 1, 1, 'T', 32, 16)\n"
+        "    return grid.values.tobytes(), repr(symmetry_check(grid, rels))\n"
+        "unloaded = []\n"
+        "start = threading.Barrier(4, action=lambda: unloaded.append('numpy' not in sys.modules))\n"
+        "results = [None] * 4\n"
+        "def run(i):\n"
+        "    start.wait()\n"
+        "    results[i] = work()\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "print(unloaded, [r == work() for r in results])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120)
+    assert got.stdout.strip() == "[True] [True, True, True, True]", got.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from ringwaves import groups
 from ringwaves.errors import SizeCapError
 from ringwaves.groups import (
     DihedralElement,
@@ -88,6 +89,17 @@ def test_trivial_group_case():
 def test_size_cap():
     with pytest.raises(SizeCapError):
         enumerate_subgroups(gamma_prime(3), cap=10)
+
+
+def test_lattice_cap_comes_before_the_cayley_table(monkeypatch):
+    # an order-16000 group has a 256-million-entry table: predict --N 2000 ran
+    # out of time and memory building it, and only then met the cap
+    monkeypatch.setattr(groups, "gamma_prime", None)
+    monkeypatch.setattr(groups, "dihedral_group", None)
+    with pytest.raises(SizeCapError):
+        groups.gamma_prime_lattice(2000)
+    with pytest.raises(SizeCapError):
+        groups.dihedral_lattice(2000)
 
 
 def test_d3_class_lattice():

@@ -1,17 +1,34 @@
 """Oracles for the structure layer, kept apart from the production path.
 
-The subgroup oracle is the member-union cyclic extension (closing each
-cyclic subgroup together with every member of the subgroup it extends);
-the orbit oracle builds the (K, phi)-classes with Fraction keys and
-conjugates by every element.  Neither uses generator lists, cosets, integer
-turns or bit masks.
+Production lists subgroups by their known form (Goursat's lemma) and circle
+homomorphisms through K^ab.  The oracles here find them by search instead:
+- the member-union cyclic extension closes each cyclic subgroup together
+  with every member of the subgroup it extends;
+- the generator cyclic extension closes a subgroup's generator tuple plus
+  one cyclic generator, coset by coset;
+- the candidate closure tries every turn vector on a generating set and
+  keeps those whose generated subgroup of Z_q x K is a graph;
+- the class oracle conjugates every subgroup by every element;
+- the orbit oracle builds the (K, phi)-classes with Fraction keys and
+  conjugates by every element.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
-from ringwaves.groups import enumerate_subgroups, gamma_prime, gamma_prime_lattice
+from ringwaves.groups import (
+    SubgroupClassLattice,
+    dihedral_group,
+    enumerate_subgroups,
+    gamma_prime,
+    gamma_prime_lattice,
+    generated,
+)
 from ringwaves.twisted import TwistedOrbitType, hom_to_circle, twisted_context
 
 
@@ -59,6 +76,130 @@ def member_union_subgroups(group):
 def test_subgroups_match_member_union_extension(n):
     group = gamma_prime(n)
     assert [s.elems for s in enumerate_subgroups(group)] == member_union_subgroups(group)
+
+
+def cyclic_extension_subgroups(group):
+    """Subgroup element tuples by cyclic extension of generator tuples.
+
+    Each subgroup H found keeps the generator tuple that reached it, so
+    adjoining the cyclic subgroup <g> closes that tuple plus g, in right
+    cosets of H.  Complete because every subgroup is reached from any
+    maximal chain of subgroups below it.
+    """
+    tab = group.table
+    bits = [1 << i for i in range(group.order)]
+
+    def close(gens, base):
+        return generated(gens, lambda a, x: tab[a][x], base)
+
+    def mask(members):
+        return sum(bits[i] for i in members)
+
+    found = {}  # subgroup mask -> (generator tuple, members with identity first)
+    for g in range(group.order):
+        members = close([g], [group.identity])
+        found.setdefault(mask(members), ((g,), members))
+    trivial = bits[group.identity]
+    found[trivial] = ((), [group.identity])
+    cyclics = sorted(
+        (c for c in found if c != trivial), key=lambda c: (len(found[c][1]), sorted(found[c][1]))
+    )
+    cyclics = [(c, found[c][0][0]) for c in cyclics]
+    frontier = [c for c, _ in cyclics]
+    seen_unions = set(found)
+    full = (1 << group.order) - 1
+    while frontier:
+        new = []
+        for h in frontier:
+            if h == full:
+                continue
+            h_gens, h_members = found[h]
+            for c, g in cyclics:
+                union = h | c
+                if union == h or union in seen_unions:
+                    continue
+                seen_unions.add(union)
+                k_gens = h_gens + (g,)
+                members = close(k_gens, h_members)
+                k = mask(members)
+                if k not in found:
+                    found[k] = (k_gens, members)
+                    new.append(k)
+        frontier = new
+    return sorted((tuple(sorted(members)) for _, members in found.values()),
+                  key=lambda s: (len(s), s))
+
+
+def element_conjugation_classes(group, subgroups):
+    """(representatives, Weyl orders, n table) from conjugation by every element.
+
+    Classes are ordered by descending order, then representative tuple; the
+    representative is the least conjugate, |W(H)| = |G| / |class| / |H|,
+    and n(H, K) counts the conjugates of K that contain H.
+    """
+    ids = {frozenset(s): i for i, s in enumerate(subgroups)}
+    classes = {}
+    for s in subgroups:
+        orbit = {frozenset(group.conj(g, h) for h in s) for g in range(group.order)}
+        classes[min(tuple(sorted(m)) for m in orbit)] = orbit
+    reps = sorted(classes, key=lambda r: (-len(r), r))
+    assert sum(len(o) for o in classes.values()) == len(ids)
+    weyl = [group.order // len(classes[r]) // len(r) for r in reps]
+    n_table = tuple(
+        tuple(sum(1 for m in classes[k] if set(h) <= m) for k in reps) for h in reps
+    )
+    return reps, weyl, n_table
+
+
+def candidate_closure_homs(group, members):
+    """Homomorphisms K -> S^1 as {element: Fraction} dicts, by candidate closure.
+
+    Candidate turns on a greedy generating set of K, as integers mod q (the
+    lcm of the generators' orders), give a homomorphism exactly when the
+    subgroup of Z_q x K they generate has |K| elements: it is then the graph
+    of phi.
+    """
+    gens = group.generators(sorted(members))
+    if not gens:  # trivial subgroup
+        return [{group.identity: Fraction(0)}]
+    orders = [group.element_order(g) for g in gens]
+    q = math.lcm(*orders)
+    tab = group.table
+
+    def mul(a, b):
+        return ((a[0] + b[0]) % q, tab[a[1]][b[1]])
+
+    homs = []
+    for values in itertools.product(*(range(0, q, q // o) for o in orders)):
+        graph = generated(list(zip(values, gens)), mul, [(0, group.identity)], limit=len(members))
+        if graph is not None:
+            homs.append({k: Fraction(t, q) for t, k in graph})
+    return homs
+
+
+GROUPS = [(build, n) for n in range(3, 13) for build in (dihedral_group, gamma_prime)]
+GROUP_IDS = [f"{build.__name__}-{n}" for build, n in GROUPS]
+
+
+@pytest.mark.parametrize("build, n", GROUPS, ids=GROUP_IDS)
+def test_lattice_matches_cyclic_extension_and_element_conjugation(build, n):
+    group = build(n)
+    subgroups = cyclic_extension_subgroups(group)
+    assert [s.elems for s in enumerate_subgroups(group)] == subgroups
+    lat = SubgroupClassLattice(group)
+    reps, weyl, n_table = element_conjugation_classes(group, subgroups)
+    assert [rep.elems for rep in lat.reps] == reps
+    assert lat.weyl == weyl
+    assert lat.n_table == n_table
+
+
+@pytest.mark.parametrize("build, n", GROUPS, ids=GROUP_IDS)
+def test_circle_homs_match_candidate_closure(build, n):
+    group = build(n)
+    for sub in enumerate_subgroups(group):
+        got = [tuple(sorted(phi.items())) for phi in hom_to_circle(group, sub.elems)]
+        want = {tuple(sorted(phi.items())) for phi in candidate_closure_homs(group, sub.elems)}
+        assert len(set(got)) == len(got) and set(got) == want, sub.elems
 
 
 def fraction_orbit_classes(lattice):
