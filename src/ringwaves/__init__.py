@@ -6,7 +6,7 @@ S^1 x Z2 x Z2 x D_N, and emits branch predictions with explicit symmetry
 generators, cross-checked by an independent numerical discretization.
 """
 
-from .burnside import BurnsideElement, multiplication_table, multiply, multiply_oracle
+from .burnside import BurnsideElement, multiplication_table, multiply
 from .bifurcation import (
     BifurcationInvariant,
     BranchPrediction,

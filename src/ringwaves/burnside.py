@@ -2,19 +2,17 @@
 
 Every coefficient in the Burnside ring and in its twisted module solves one
 triangular system of marks, sum_u c_u n(t, u) |W(u)| = lead(t), top-down
-with exact division by |W(t)| (`solve_marks`); `multiplication_table` is the
-same solve vectorized over all generator pairs.  `SparseSum` is the integer
-combination both rings' elements are made of.  `multiply_oracle` recomputes
-any generator product by enumerating the orbits of the product coset space,
-which keeps the two routes independent.
+with exact division by |W(t)| (`solve_marks`).  A generator product solves
+it over the classes below both factors, and `multiplication_table` collects
+those products over all generator pairs.  `SparseSum` is the integer
+combination both rings' elements are made of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from ._lazy import np
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice
 
@@ -140,115 +138,24 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
 def _generator_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
     """(H)*(K) = sum n_L (L): the marks of (H)(K) at L are the products of theirs.
 
-    Callers pass h <= k, so each unordered pair has one cache entry.
+    Callers pass h <= k, so each unordered pair has one cache entry.  The
+    solve runs over the classes below both (H) and (K) only: elsewhere the
+    lead is zero, and every mark n(L, U) != 0 of a nonzero c_U has
+    (L) <= (U) <= (H), (K), so the full solve gives zero there too.
     """
     n, w = lat.n_table, lat.weyl
-    return solve_marks(range(lat.n_classes), lambda L: n[L][h] * w[h] * n[L][k] * w[k],
+    below_both = [L for L in _down_set(lat, h) if n[L][k]]
+    return solve_marks(below_both, lambda L: n[L][h] * w[h] * n[L][k] * w[k],
                        lat.n, w.__getitem__)
 
 
+@lru_cache(maxsize=None)
+def _down_set(lat: SubgroupClassLattice, c: int) -> tuple:
+    """The classes (L) <= (c), i.e. n(L, c) != 0, top-down."""
+    return tuple(L for L in range(lat.n_classes) if lat.n_table[L][c])
+
+
 def multiplication_table(lat: SubgroupClassLattice) -> dict:
-    """All generator products at once: `_generator_product` over every pair.
-
-    The same system of marks as `solve_marks`, vectorized: the Weyl-weighted
-    count matrix M[L,K] = n(L,K)|W(K)| is lower triangular in the total order,
-    and each product column solves M c = M[:,H] * M[:,K] by exact forward
-    substitution.  Over all pairs this is several times faster than the
-    scalar solve, which `group-tables` would otherwise pay.
-    """
-    nc = lat.n_classes
-    marks = np.array(
-        [[lat.n_table[L][K] * lat.weyl[K] for K in range(nc)] for L in range(nc)],
-        dtype=np.int64,
-    )
-    pairs = [(h, k) for h in range(nc) for k in range(h, nc)]
-    out = {}
-    chunk = max(1, 2_000_000 // max(nc, 1))
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        v = np.empty((nc, len(block)), dtype=np.int64)
-        for col, (h, k) in enumerate(block):
-            v[:, col] = marks[:, h] * marks[:, k]
-        c = np.zeros_like(v)
-        for L in range(nc):
-            num = v[L] - marks[L, :L] @ c[:L]
-            q, r = np.divmod(num, lat.weyl[L])
-            if r.any():
-                raise ExactnessError("non-integer coefficient in bulk Burnside table")
-            c[L] = q
-        for col, (h, k) in enumerate(block):
-            nz = np.nonzero(c[:, col])[0]
-            out[(h, k)] = {int(L): int(c[L, col]) for L in nz}
-    return out
-
-
-def multiply_oracle(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    """Product recomputed from orbit counting on (G/H) x (G/K).
-
-    The G-orbits of the product coset space correspond to double cosets
-    H g K; the orbit through (eH, gK) has isotropy H \\cap gKg^-1.  Orbit
-    types are tallied per double coset, with no Weyl-order arithmetic.
-    """
-    a._check(b)
-    return bilinear(a, b, partial(_orbit_count_product, a.owner))
-
-
-def _orbit_count_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
-    group = lat.group
-    tab, inv = group.table, group.inverse
-    hs = lat.reps[h].elems
-    ks = lat.reps[k].elems
-    hset = lat.reps[h].members
-    counts: dict = {}
-    visited = bytearray(group.order)
-    for g in range(group.order):
-        if visited[g]:
-            continue
-        gk = [tab[g][b] for b in ks]
-        for a in hs:
-            row = tab[a]
-            for x in (row[y] for y in gk):
-                visited[x] = 1
-        gi = inv[g]
-        iso = hset & {tab[x][gi] for x in gk}
-        cid = lat.class_id(iso)
-        counts[cid] = counts.get(cid, 0) + 1
-    return counts
-
-
-def orbit_count_product_pointwise(lat: SubgroupClassLattice, h: int, k: int) -> dict:
-    """Literal orbit tally over every point of (G/H) x (G/K); test-scale only.
-
-    Each point (aH, bK) contributes isotropy aHa^-1 \\cap bKb^-1; the number
-    of type-(L) orbits is (#points with isotropy in (L)) * |L| / |G|.
-    """
-    group = lat.group
-    hrep, krep = lat.reps[h], lat.reps[k]
-    h_cosets = _cosets(group, hrep.elems)
-    k_cosets = _cosets(group, krep.elems)
-    per_class_points: dict = {}
-    for a in h_cosets:
-        ah = group.conj_set(a, hrep.elems)
-        for b in k_cosets:
-            bk = group.conj_set(b, krep.elems)
-            cid = lat.class_id(ah & bk)
-            per_class_points[cid] = per_class_points.get(cid, 0) + 1
-    out = {}
-    for cid, pts in per_class_points.items():
-        size = lat.reps[cid].order
-        total = pts * size
-        if total % group.order:
-            raise AssertionError("orbit sizes do not tile the point count")
-        out[cid] = total // group.order
-    return out
-
-
-def _cosets(group, sub_elems):
-    seen = set()
-    reps = []
-    for g in range(group.order):
-        coset = frozenset(group.table[g][s] for s in sub_elems)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(g)
-    return reps
+    """All generator products: `_generator_product` over every pair h <= k."""
+    return {(h, k): _generator_product(lat, h, k)
+            for h in range(lat.n_classes) for k in range(h, lat.n_classes)}

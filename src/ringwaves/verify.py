@@ -24,7 +24,8 @@ from ._lazy import np
 from .bifurcation import folding_data
 from .spectrum import ModelParams, mu_numerator
 
-MAX_GRID_POINTS = 2_000_000  # cap on m_t * m_x: discretizations and eigenfunctions
+MAX_GRID_POINTS = 2_000_000  # cap on m_t * m_x of a discretization
+MAX_EIGENFUNCTION_VALUES = 2_000_000  # cap on m_t * m_x * N; the symmetry check copies them
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,9 @@ def eigenfunction(
     standing profile in its real part (fixed by a plain reflection) and S the
     complementary standing profile.
     """
-    if m_t * m_x > MAX_GRID_POINTS:
-        raise ValueError(f"grid {m_t}x{m_x} exceeds {MAX_GRID_POINTS} points")
+    if m_t * m_x * N > MAX_EIGENFUNCTION_VALUES:
+        raise ValueError(f"grid {m_t}x{m_x} of {N} components exceeds "
+                         f"{MAX_EIGENFUNCTION_VALUES} values")
     t = np.linspace(0.0, 2.0 * math.pi, m_t, endpoint=False)
     x = -math.pi / 2 + math.pi * np.arange(1, m_x + 1) / (m_x + 1)
     prof = transverse_profile(n, x)

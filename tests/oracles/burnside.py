@@ -1,0 +1,83 @@
+"""Burnside products recounted from the orbits of (G/H) x (G/K).
+
+Independent of the table-of-marks solve in `ringwaves.burnside`.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+from ringwaves.burnside import BurnsideElement, bilinear
+from ringwaves.groups import SubgroupClassLattice
+
+
+def multiply_oracle(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
+    """Product recomputed from orbit counting on (G/H) x (G/K).
+
+    The G-orbits of the product coset space correspond to double cosets
+    H g K; the orbit through (eH, gK) has isotropy H \\cap gKg^-1.  Orbit
+    types are tallied per double coset, with no Weyl-order arithmetic.
+    """
+    a._check(b)
+    return bilinear(a, b, partial(orbit_count_product, a.owner))
+
+
+def orbit_count_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
+    group = lat.group
+    tab, inv = group.table, group.inverse
+    hs = lat.reps[h].elems
+    ks = lat.reps[k].elems
+    hset = lat.reps[h].members
+    counts: dict = {}
+    visited = bytearray(group.order)
+    for g in range(group.order):
+        if visited[g]:
+            continue
+        gk = [tab[g][b] for b in ks]
+        for a in hs:
+            row = tab[a]
+            for x in (row[y] for y in gk):
+                visited[x] = 1
+        gi = inv[g]
+        iso = hset & {tab[x][gi] for x in gk}
+        cid = lat.class_id(iso)
+        counts[cid] = counts.get(cid, 0) + 1
+    return counts
+
+
+def orbit_count_product_pointwise(lat: SubgroupClassLattice, h: int, k: int) -> dict:
+    """Literal orbit tally over every point of (G/H) x (G/K); test-scale only.
+
+    Each point (aH, bK) contributes isotropy aHa^-1 \\cap bKb^-1; the number
+    of type-(L) orbits is (#points with isotropy in (L)) * |L| / |G|.
+    """
+    group = lat.group
+    hrep, krep = lat.reps[h], lat.reps[k]
+    h_cosets = _cosets(group, hrep.elems)
+    k_cosets = _cosets(group, krep.elems)
+    per_class_points: dict = {}
+    for a in h_cosets:
+        ah = group.conj_set(a, hrep.elems)
+        for b in k_cosets:
+            bk = group.conj_set(b, krep.elems)
+            cid = lat.class_id(ah & bk)
+            per_class_points[cid] = per_class_points.get(cid, 0) + 1
+    out = {}
+    for cid, pts in per_class_points.items():
+        size = lat.reps[cid].order
+        total = pts * size
+        if total % group.order:
+            raise AssertionError("orbit sizes do not tile the point count")
+        out[cid] = total // group.order
+    return out
+
+
+def _cosets(group, sub_elems):
+    seen = set()
+    reps = []
+    for g in range(group.order):
+        coset = frozenset(group.table[g][s] for s in sub_elems)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(g)
+    return reps

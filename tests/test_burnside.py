@@ -5,18 +5,12 @@ import random
 import pytest
 
 from ringwaves import burnside, degrees, twisted
-from ringwaves.burnside import (
-    BurnsideElement,
-    multiplication_table,
-    multiply,
-    multiply_oracle,
-    orbit_count_product_pointwise,
-    solve_marks,
-    _orbit_count_product,
-)
+from ringwaves.burnside import BurnsideElement, multiplication_table, multiply, solve_marks
 from ringwaves.errors import ExactnessError
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
 from ringwaves.reps import character_table
+
+from oracles.burnside import multiply_oracle, orbit_count_product, orbit_count_product_pointwise
 
 # class ids in the D3 lattice (descending order): 0=(D3), 1=(Z3), 2=(Z2), 3=(1)
 D3, Z3, Z2, ONE = 0, 1, 2, 3
@@ -47,7 +41,7 @@ def test_d3_products_match_hand_values(d3):
 def test_oracle_agrees_with_pointwise_enumeration(d3):
     for h in range(d3.n_classes):
         for k in range(d3.n_classes):
-            assert _orbit_count_product(d3, h, k) == orbit_count_product_pointwise(
+            assert orbit_count_product(d3, h, k) == orbit_count_product_pointwise(
                 d3, h, k
             )
 
@@ -61,7 +55,28 @@ def test_recurrence_equals_oracle_on_gamma_prime_3():
     lat = gamma_prime_lattice(3)
     table = multiplication_table(lat)
     for (h, k), want in table.items():
-        assert _orbit_count_product(lat, h, k) == want
+        assert orbit_count_product(lat, h, k) == want
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_table_equals_oracle_on_sampled_pairs(n):
+    lat = gamma_prime_lattice(n)
+    table = multiplication_table(lat)
+    rng = random.Random(n)
+    for h, k in rng.sample(sorted(table), 200):
+        assert orbit_count_product(lat, h, k) == table[(h, k)], (n, h, k)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_restricted_solve_equals_solve_over_all_classes(n):
+    # a product solved only below both factors equals the solve over every class
+    lat = gamma_prime_lattice(n)
+    nt, w = lat.n_table, lat.weyl
+    for h in range(lat.n_classes):
+        for k in range(h, lat.n_classes):
+            full = solve_marks(range(lat.n_classes), lambda L: nt[L][h] * w[h] * nt[L][k] * w[k],
+                               lat.n, w.__getitem__)
+            assert burnside._generator_product(lat, h, k) == full, (n, h, k)
 
 
 def test_pointwise_oracle_sample_gamma_prime():
@@ -70,7 +85,7 @@ def test_pointwise_oracle_sample_gamma_prime():
     for _ in range(12):
         h = rng.randrange(lat.n_classes)
         k = rng.randrange(lat.n_classes)
-        assert orbit_count_product_pointwise(lat, h, k) == _orbit_count_product(
+        assert orbit_count_product_pointwise(lat, h, k) == orbit_count_product(
             lat, h, k
         )
 

@@ -228,6 +228,16 @@ def test_readme_group_tables_match_golden(tmp_path, monkeypatch, capsys):
         _assert_same(_read_report(tmp_path / "tables" / name), _read_report(golden / name), name)
 
 
+def test_group_tables_n8_match_golden_digests(tmp_path, monkeypatch, capsys):
+    golden = json.loads((DATA / "group_tables_N8.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, *golden["argv"])
+    assert code == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "tables").iterdir()}
+    assert written == golden["csv_sha256"]
+
+
 def test_export_invalid_kind_fails(capsys):
     code = main([
         "export-eigenfunction", "--N", "7", "--m", "1", "--n", "1", "--j", "0",
@@ -315,17 +325,19 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"zeta": "table", "zeta_table": [[0, 0], [5e-324, 1]]}),
         ([], {"zeta": "table", "zeta_table": [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]}),
         ([], {"zeta": "table", "zeta_table": [[0, 0], [0, 1], [1, 2]]}),
+        (["export-eigenfunction", "--N", "1000", "--grid-t", "64", "--grid-x", "32"], None),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
-         "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha"],
+         "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha",
+         "export-values-cap"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = ["--config", "cfg.json"] + argv
-    if argv[0] != "predict":
+    if argv[0].startswith("-"):
         argv = ["predict"] + argv
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -556,7 +568,8 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     code = (
         "import contextlib, io, sys, ringwaves.cli as cli\n"
         "runs = [['critical-points'], ['predict', '--N', '6', '--m-max', '3', '--n-max', '3'],\n"
-        "        ['invariant', '--mode', 'full', '--m', '1', '--n', '1', '--j', '0']]\n"
+        "        ['invariant', '--mode', 'full', '--m', '1', '--n', '1', '--j', '0'],\n"
+        "        ['group-tables', '--N', '4', '--characters', '--out', sys.argv[2]]]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in runs]\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
@@ -567,9 +580,11 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
         "print(code, 'numpy' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    got = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scan.json")],
+    got = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scan.json"),
+                          str(tmp_path / "tables")],
                          capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert got.stdout.splitlines() == ["[0, 0, 0] [] True", "0 True"]
+    assert got.stdout.splitlines() == ["[0, 0, 0, 0] [] True", "0 True"]
+    assert (tmp_path / "tables" / "burnside_products.csv").exists()
 
 
 def test_no_module_imports_numpy_at_top_level():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from ringwaves.burnside import BurnsideElement, multiply_oracle
+from ringwaves.burnside import BurnsideElement
 from ringwaves.degrees import (
     basic_degree,
     isotropy_types,
@@ -14,6 +14,8 @@ from ringwaves.degrees import (
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
 from ringwaves.reps import DressedIrrep, GIrrep, character_table
 from ringwaves.twisted import fold, quotient_weyl_oracle
+
+from oracles.burnside import multiply_oracle
 
 
 def test_basic_degree_sign_rep_d3():
