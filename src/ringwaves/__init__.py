@@ -63,7 +63,6 @@ from .spectrum import (
     rho,
     sigmoid_curve,
     table_curve,
-    winding_oracle,
     xi,
     xi_lower_bound_constant,
 )

@@ -12,7 +12,6 @@ consumes this data.
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -232,9 +231,9 @@ class Subgroup:
         return i in self.members
 
 
-def _check_order(order: int, cap: int = DEFAULT_SUBGROUP_CAP):
-    if order > cap:
-        raise SizeCapError(f"group order {order} exceeds cap {cap}")
+def _check_order(order: int):
+    if order > DEFAULT_SUBGROUP_CAP:
+        raise SizeCapError(f"group order {order} exceeds cap {DEFAULT_SUBGROUP_CAP}")
 
 
 def _dihedral_subgroups(n: int):
@@ -249,7 +248,7 @@ def _dihedral_subgroups(n: int):
             yield from ((s, i) for i in range(s))
 
 
-def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
+def enumerate_subgroups(group: FiniteGroup):
     """All subgroups of D_N or of Z2 x Z2 x D_N, listed by their known form.
 
     D_N's subgroups are Z_d and the N/d conjugates of D_d, for each d | N.
@@ -260,7 +259,7 @@ def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
     psi is fixed by u = psi(g^s), which must be trivial for odd d, and, for
     a dihedral D2, v = psi(g^i k).  Sorted by (order, element tuple).
     """
-    _check_order(group.order, cap)
+    _check_order(group.order)
     first = group.elements[0]
     if isinstance(first, DihedralElement) and group.order == 2 * first.n:
         n, signs = first.n, [(1, 1)]
@@ -301,9 +300,9 @@ class SubgroupClassLattice:
     recurrences can run top-down deterministically.
     """
 
-    def __init__(self, group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.subgroups = enumerate_subgroups(group, cap=cap)
+        self.subgroups = enumerate_subgroups(group)
         sub_ids = {s.members: i for i, s in enumerate(self.subgroups)}
         self.subgroup_ids = sub_ids
 
@@ -418,26 +417,3 @@ def dihedral_lattice(n: int) -> SubgroupClassLattice:
 def gamma_prime_lattice(n: int) -> SubgroupClassLattice:
     _check_order(8 * n)  # before the Cayley table, whose size is the order squared
     return SubgroupClassLattice(gamma_prime(n))
-
-
-def subgroup_count_oracle(group: FiniteGroup, max_generators: int = 2) -> int:
-    """Independent subgroup count: closures of all <=k-element generating sets,
-    then joins until stable.  Exponential; test-scale only."""
-    subs = {frozenset({group.identity})}
-    ids = list(range(group.order))
-    for r in range(1, max_generators + 1):
-        for combo in itertools.combinations(ids, r):
-            subs.add(group.closure(combo))
-    while True:
-        new = set()
-        for a in subs:
-            for b in subs:
-                if a >= b:
-                    continue
-                j = group.closure(b, base=a)
-                if j not in subs:
-                    new.add(j)
-        if not new:
-            break
-        subs.update(new)
-    return len(subs)

@@ -4,8 +4,7 @@ The dihedral table has the trivial representation, the 2-dimensional
 geometric ones rho_j, the orientation character ("sign", reflections act by
 -1), and for even N the alternating character ("half", the rotation acts by
 -1, matching the (1,-1,1,...,-1) Laplacian eigenvector) plus their product
-("signsign").  Geometric irreps are stored as explicit 2x2 matrix models so
-characters are derived and an averaging-projector oracle is possible.
+("signsign").
 
 Fixed-point dimensions are exact: a character's sum over a finite group is
 rational and its values are sums of L-th roots of unity, so the sum is its
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._lazy import np
 from .errors import ExactnessError
 from .groups import DihedralElement, GammaPrimeElement, generated
 
@@ -68,23 +66,12 @@ def galois_average(traces, L: int, order: int) -> int:
 
 @dataclass(frozen=True)
 class DihedralIrrep:
-    """An irreducible representation of D_N with an explicit matrix model."""
+    """An irreducible representation of D_N."""
 
     label: str  # "trivial" | "geom<j>" | "half" | "sign" | "signsign"
     j: int | None  # geometric rotation index; N/2 for half; None otherwise
     dim: int
     N: int
-
-    def matrix(self, g: DihedralElement) -> np.ndarray:
-        if self.dim == 1:
-            return np.array([[self.char(g)]])
-        theta = 2.0 * math.pi * self.j * g.rot / self.N
-        rot = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        if g.ref:
-            return rot @ np.array([[1.0, 0.0], [0.0, -1.0]])
-        return rot
 
     def char(self, g: DihedralElement) -> float:
         if self.dim == 1:
@@ -173,14 +160,8 @@ class DressedIrrep:
     def sign(self, g: GammaPrimeElement) -> int:
         return g.kappa1 * (g.kappa2 if self.bit else 1)
 
-    def char(self, g: GammaPrimeElement) -> float:
-        return self.sign(g) * self.base.char(g.dihedral)
-
     def trace(self, g: GammaPrimeElement, L: int, b: int | None = None) -> int:
         return self.sign(g) * self.base.trace(g.dihedral, L, b)
-
-    def matrix(self, g: GammaPrimeElement) -> np.ndarray:
-        return self.sign(g) * self.base.matrix(g.dihedral)
 
     @property
     def label(self) -> str:
@@ -198,24 +179,12 @@ class GIrrep:
     def dim(self) -> int:
         return self.dressed.dim * (1 if self.m == 0 else 2)
 
-    def char(self, turn: Fraction, g: GammaPrimeElement) -> float:
-        if self.m == 0:
-            return self.dressed.char(g)
-        return 2.0 * cos_turn(self.m * turn) * self.dressed.char(g)
-
     def trace(self, turn: Fraction, g: GammaPrimeElement, L: int) -> int:
         """Trace over Q(zeta_L) of char(turn, g); L * turn must be an integer."""
         if self.m == 0:
             return self.dressed.trace(g, L)
         b = self.m * turn.numerator * (L // turn.denominator) % L
         return self.dressed.trace(g, L, b)
-
-    def matrix(self, turn: Fraction, g: GammaPrimeElement) -> np.ndarray:
-        if self.m == 0:
-            return self.dressed.matrix(g)
-        t = float(2.0 * math.pi * self.m * turn)
-        rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-        return np.kron(rot, self.dressed.matrix(g))
 
     @property
     def label(self) -> str:
@@ -271,20 +240,6 @@ def fixed_dim(rep, generators) -> int:
     return galois_average((rep.trace(t, g, L) for t, g in group), L, len(group))
 
 
-def fixed_dim_projector_oracle(rep, generators) -> int:
-    """Rank of the explicit averaging projector; independent of `fixed_dim`."""
-    if isinstance(rep, DressedIrrep):
-        pairs = [(Fraction(0), g) for g in generators]
-        rep = GIrrep(0, rep)
-    else:
-        pairs = list(generators)
-    group = generated_group(pairs)
-    proj = sum(rep.matrix(t, g) for t, g in group) / len(group)
-    rank = round(float(np.trace(proj)))
-    assert np.allclose(proj @ proj, proj, atol=1e-8), "averaging is not a projector"
-    return rank
-
-
 @dataclass(frozen=True)
 class LaplacianEigendata:
     """Eigenvalues z_{j,k} >= 0 of an invariant coupling Laplacian."""
@@ -317,11 +272,3 @@ def cycle_laplacian_eigendata(N: int) -> LaplacianEigendata:
     for j in range(N // 2 + 1):
         entries.append((j, 4.0 * math.sin(math.pi * j / N) ** 2, 1))
     return LaplacianEigendata(tuple(entries))
-
-
-def cycle_laplacian_matrix(N: int) -> np.ndarray:
-    mat = 2.0 * np.eye(N)
-    for i in range(N):
-        mat[i, (i + 1) % N] -= 1.0
-        mat[i, (i - 1) % N] -= 1.0
-    return mat

@@ -2,8 +2,8 @@
 
 Closed forms for the wave-operator eigenvalues xi_{m,n}, their linear
 lower-bound constant, the reduced eigenvalue family mu_{m,n,j,k}(alpha, beta),
-critical parameter pairs, crossing signs rho, a winding-number oracle, and
-the null/negative index sets entering the bifurcation invariant.
+critical parameter pairs, crossing signs rho, and the null/negative index
+sets entering the bifurcation invariant.
 """
 
 from __future__ import annotations
@@ -251,50 +251,6 @@ def rho(m: int, n: int, j: int, k: int, params: ModelParams, at) -> int:
     return 0
 
 
-def winding_oracle(
-    m: int,
-    n: int,
-    j: int,
-    k: int,
-    params: ModelParams,
-    center,
-    radius: float,
-    steps: int = 10_000,
-) -> int:
-    """Winding number of mu_{m,n,j,k} around a parameter circle.
-
-    Accumulates the argument increment along the discretized circle; the
-    total must land within 0.1 of an integer multiple of 2 pi and mu must
-    stay well away from zero on the circle.
-    """
-    a0, b0 = center
-    angles = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-    alphas = a0 + radius * np.cos(angles)
-    betas = b0 + radius * np.sin(angles)
-    nu2 = float(params.nu) ** 2
-    zjk = params.eigendata.z(j, k) + 1.0
-    zeta_vals = np.array([params.zeta.evaluate(a) for a in alphas])
-    vals = (
-        complex(-nu2 * m * m + n * n, params.delta * m)
-        + zeta_vals * zjk
-        + betas * cmath.exp(-1j * m * params.tau)
-    )
-    mags = np.abs(vals)
-    scale = abs(xi(m, n, params))
-    if mags.min() < 1e-12 * scale:
-        raise DegenerateParameterError(
-            "mu vanishes on the winding circle; change the radius"
-        )
-    total = np.angle(vals[1:] / vals[:-1]).sum()
-    w = total / (2.0 * math.pi)
-    rounded = round(w)
-    if abs(w - rounded) > 0.1:
-        raise DegenerateParameterError(
-            f"winding accumulation {w} is not close to an integer; refine steps"
-        )
-    return int(rounded)
-
-
 @dataclass(frozen=True)
 class IndexSets:
     """Null/negative spectra of the linearization at a parameter point."""
@@ -412,38 +368,3 @@ def enumerate_critical_points(
                     continue
                 out.append(CriticalPoint(IndexQuad(m, n, j, k), got[0], got[1]))
     return out
-
-
-def newton_critical_oracle(
-    m: int, n: int, j: int, k: int, params: ModelParams, guess, tol: float = 1e-13
-):
-    """Independent 2-D root-find of the mu numerator near `guess`.
-
-    Newton iteration with an analytic Jacobian on (Re, Im) of the numerator;
-    returns None if it fails to converge.
-    """
-    a, b = guess
-    nu2 = float(params.nu) ** 2
-    zjk1 = params.eigendata.z(j, k) + 1.0
-    e = cmath.exp(-1j * m * params.tau)
-    for _ in range(200):
-        val = (
-            complex(-nu2 * m * m + n * n, params.delta * m)
-            + params.zeta.evaluate(a) * zjk1
-            + b * e
-        )
-        if abs(val) < tol:
-            return a, b
-        jac = np.array(
-            [
-                [params.zeta.derivative(a) * zjk1, e.real],
-                [0.0, e.imag],
-            ]
-        )
-        try:
-            step = np.linalg.solve(jac, np.array([val.real, val.imag]))
-        except np.linalg.LinAlgError:
-            return None
-        a -= step[0]
-        b -= step[1]
-    return None

@@ -9,10 +9,6 @@ circle factor is central, conjugation only moves the (K, phi) part, so
 orbit types are Gamma'-orbits of (K, phi) pairs tagged with l; all
 conjugacy tests, subconjugation counts n(H, L) and finite Weyl orders
 |W(H)/S^1| are computed exactly inside Gamma'.
-
-A brute-force cross-check realizes types inside the finite quotient
-Z_Q x Gamma' (all turns sharing denominator Q); see `quotient_weyl_oracle`
-and `module_product_oracle`.
 """
 
 from __future__ import annotations
@@ -343,120 +339,3 @@ def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitTyp
         if (nk := lat.n_table[ctx.k_class(kphi)][kcls]) and (nh := ctx.n_t(t, h)):
             lead[t] = nk * wk * nh * wh
     return solve_marks(lead, lead.__getitem__, ctx.n_t, ctx.weyl_t)
-
-
-# -- finite-quotient oracles -------------------------------------------------
-
-
-def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
-    """Common circle denominator Q so that every phi value and folding fits."""
-    q = extra
-    for t in types:
-        q = math.lcm(q, max(t.l, 1))
-        for turn in ctx._classes[t.kphi][1]:
-            q = math.lcm(q, Fraction(turn, ctx.denominator).denominator * max(t.l, 1))
-    return q
-
-
-def realize_in_quotient(ctx: TwistedContext, t: TwistedOrbitType, q: int):
-    """Element set of the representative twisted subgroup inside Z_q x Gamma'."""
-    rep = ctx.representative(t)
-    phi = rep.phi_dict()
-    out = set()
-    for k in rep.members:
-        if t.l == 0:
-            for z in range(q):
-                out.add((z, k))
-        else:
-            target = phi[k]
-            for z in range(q):
-                if (Fraction(z * t.l, q) - target) % 1 == 0:
-                    out.add((z, k))
-    return frozenset(out)
-
-
-def quotient_weyl_oracle(ctx: TwistedContext, t: TwistedOrbitType, q: int | None = None) -> int:
-    """|W(H)/S^1| recomputed by brute-force normalizer in Z_q x Gamma'."""
-    if q is None:
-        q = _quotient_denominator(ctx, [t], extra=2)
-    g = ctx.group
-    tab, inv = g.table, g.inverse
-    hbar = realize_in_quotient(ctx, t, q)
-    # Z_q is central, so the normalizer is Z_q x {c : c conjugates hbar to itself}
-    fixers = 0
-    for c in range(g.order):
-        ci = inv[c]
-        conj = frozenset((w, tab[tab[c][k]][ci]) for w, k in hbar)
-        if conj == hbar:
-            fixers += 1
-    norm_order = q * fixers
-    if norm_order % len(hbar):
-        raise ExactnessError("quotient normalizer order not divisible by |H|")
-    w = norm_order // len(hbar)
-    # for product types the circle sits inside H, so the Weyl group is finite
-    circle_order = 1 if t.l == 0 else q // t.l
-    if w % circle_order:
-        raise ExactnessError("quotient Weyl order not divisible by circle part")
-    return w // circle_order
-
-
-def module_product_oracle(
-    ctx: TwistedContext, kcls: int, h: TwistedOrbitType, q: int | None = None
-) -> dict:
-    """(K) * (H) recomputed by orbit counting in the finite quotient.
-
-    Enumerates the product of coset spaces of Z_q x Gamma' by Z_q x K and by
-    the realized twisted subgroup, computes every point's isotropy, and
-    tallies orbit types; no recurrence is involved.
-    """
-    if q is None:
-        q = _quotient_denominator(ctx, [h], extra=2)
-    g = ctx.group
-    tab, inv = g.table, g.inverse
-    order = g.order * q
-
-    def mul(a, b):
-        return ((a[0] + b[0]) % q, tab[a[1]][b[1]])
-
-    def invq(a):
-        return ((-a[0]) % q, inv[a[1]])
-
-    kmembers = ctx.lattice.reps[kcls].members
-    prod_sub = frozenset((z, k) for z in range(q) for k in kmembers)
-    hbar = realize_in_quotient(ctx, h, q)
-    elems = [(z, k) for z in range(q) for k in range(g.order)]
-
-    def cosets(sub):
-        seen = set()
-        reps = []
-        for x in elems:
-            key = frozenset(mul(x, s) for s in sub)
-            if key not in seen:
-                seen.add(key)
-                reps.append(x)
-        return reps
-
-    counts: dict = {}
-    for a in cosets(prod_sub):
-        ai = invq(a)
-        asub = frozenset(mul(mul(a, s), ai) for s in prod_sub)
-        for b in cosets(hbar):
-            bi = invq(b)
-            bsub = frozenset(mul(mul(b, s), bi) for s in hbar)
-            iso = asub & bsub
-            t = _type_from_quotient_subgroup(ctx, iso, h.l, q)
-            counts[t] = counts.get(t, 0) + len(iso)
-    out = {}
-    for t, weight in counts.items():
-        if weight % order:
-            raise ExactnessError("orbit sizes do not tile the quotient point count")
-        out[t] = weight // order
-    return out
-
-
-def _type_from_quotient_subgroup(ctx, iso, l: int, q: int) -> TwistedOrbitType:
-    members = frozenset(k for _z, k in iso)
-    phi = {}
-    for z, k in iso:
-        phi[k] = Fraction(z * l, q) % 1
-    return ctx.type_of(members, phi, l)

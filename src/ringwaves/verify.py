@@ -26,6 +26,7 @@ from .spectrum import ModelParams, mu_numerator
 
 MAX_GRID_POINTS = 2_000_000  # cap on m_t * m_x of a discretization
 MAX_EIGENFUNCTION_VALUES = 2_000_000  # cap on m_t * m_x * N; the symmetry check copies them
+MAX_ASSEMBLY_VALUES = 8_000_000  # cap on the values of all blocks of one discretization
 
 
 @dataclass(frozen=True)
@@ -47,18 +48,20 @@ def assemble(
         raise ValueError("discretization sizes must be at least 4")
     if m_t * m_x > MAX_GRID_POINTS:
         raise ValueError(f"grid {m_t}x{m_x} exceeds {MAX_GRID_POINTS} points")
-    if mode == "spectral":
-        blocks = {
-            j: _spectral_block(params, alpha, beta, j, k, m_t, m_x)
-            for j, k in params.eigendata.indices()
-        }
-    elif mode == "fd":
-        blocks = {
-            j: _fd_block(params, alpha, beta, j, k, m_t, m_x)
-            for j, k in params.eigendata.indices()
-        }
-    else:
+    if mode not in ("spectral", "fd"):
         raise ValueError("mode must be 'spectral' or 'fd'")
+    # one block per (j, k): a spectral block is a dense square, an fd block
+    # its m_t * m_x eigenvalues
+    per_block = (m_x + 2 * m_t * m_x) ** 2 if mode == "spectral" else m_t * m_x
+    n_blocks = sum(mult for _j, _z, mult in params.eigendata.entries)
+    if n_blocks * per_block > MAX_ASSEMBLY_VALUES:
+        raise ValueError(f"{n_blocks} {mode} blocks of {per_block} values exceed "
+                         f"{MAX_ASSEMBLY_VALUES} values")
+    make_block = _spectral_block if mode == "spectral" else _fd_block
+    blocks = {
+        j: make_block(params, alpha, beta, j, k, m_t, m_x)
+        for j, k in params.eigendata.indices()
+    }
     return Discretization(mode, m_t, m_x, blocks, alpha, beta)
 
 

@@ -28,7 +28,6 @@ from ringwaves.reps import (
     character_table,
     dressing_bit,
     fixed_dim,
-    fixed_dim_projector_oracle,
 )
 from ringwaves.spectrum import (
     ModelParams,
@@ -36,13 +35,11 @@ from ringwaves.spectrum import (
     enumerate_critical_points,
     linear_curve,
     mu,
-    newton_critical_oracle,
     rho,
     sigmoid_curve,
-    winding_oracle,
     xi_lower_bound_constant,
 )
-from ringwaves.twisted import quotient_weyl_oracle, twisted_context
+from ringwaves.twisted import twisted_context
 from ringwaves.verify import (
     assemble,
     eigenfunction,
@@ -53,6 +50,9 @@ from ringwaves.verify import (
 )
 
 from oracles.burnside import orbit_count_product
+from oracles.reps import fixed_dim_projector_oracle
+from oracles.spectrum import newton_critical_oracle, winding_oracle
+from oracles.twisted import quotient_weyl_oracle
 
 
 def _report(num: int, name: str, ok: bool, started: float):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringwaves
 from ringwaves import verify
 from ringwaves.cli import main
 from ringwaves.verify import eigenfunction
@@ -326,11 +327,12 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"zeta": "table", "zeta_table": [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]}),
         ([], {"zeta": "table", "zeta_table": [[0, 0], [0, 1], [1, 2]]}),
         (["export-eigenfunction", "--N", "1000", "--grid-t", "64", "--grid-x", "32"], None),
+        (["verify", "--N", "100000"], None),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
          "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha",
-         "export-values-cap"],
+         "export-values-cap", "verify-values-cap"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -601,6 +603,24 @@ def test_no_module_imports_numpy_at_top_level():
             found += [(path.name, n) for n in names if n.split(".")[0] == "numpy"]
     assert found == []
     assert "import numpy" in (src / "_lazy.py").read_text()  # the one deferred import
+
+
+def test_src_holds_no_oracle_and_the_exact_layers_never_load_numpy():
+    # the oracles live in tests/oracles/; the exact layers reach numpy only through _lazy
+    src = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
+    named = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [n.name for n in ast.walk(tree)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        defs += [t.id for n in tree.body if isinstance(n, ast.Assign)
+                 for t in n.targets if isinstance(t, ast.Name)]
+        named += [(path.name, name) for name in [path.stem] + defs if "oracle" in name.lower()]
+        if path.stem in ("groups", "burnside", "reps", "twisted", "degrees", "bifurcation"):
+            named += [(path.name, "_lazy") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                      and "_lazy" in [n.module] + [a.name for a in n.names]]
+    assert named == []
+    assert [name for name in ringwaves.__all__ if "oracle" in name.lower()] == []
 
 
 def test_concurrent_first_numpy_use_matches_serial():

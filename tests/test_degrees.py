@@ -13,9 +13,10 @@ from ringwaves.degrees import (
 )
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
 from ringwaves.reps import DressedIrrep, GIrrep, character_table
-from ringwaves.twisted import fold, quotient_weyl_oracle
+from ringwaves.twisted import fold
 
 from oracles.burnside import multiply_oracle
+from oracles.twisted import quotient_weyl_oracle
 
 
 def test_basic_degree_sign_rep_d3():

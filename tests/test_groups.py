@@ -10,8 +10,9 @@ from ringwaves.groups import (
     dihedral_group,
     enumerate_subgroups,
     gamma_prime,
-    subgroup_count_oracle,
 )
+
+from oracles.groups import subgroup_count_oracle
 
 
 def test_dihedral_orders_and_relations():
@@ -88,7 +89,7 @@ def test_trivial_group_case():
 
 def test_size_cap():
     with pytest.raises(SizeCapError):
-        enumerate_subgroups(gamma_prime(3), cap=10)
+        enumerate_subgroups(gamma_prime(26))  # order 208, over the cap of 200
 
 
 def test_lattice_cap_comes_before_the_cayley_table(monkeypatch):

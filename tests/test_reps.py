@@ -17,15 +17,14 @@ from ringwaves.reps import (
     GIrrep,
     character_table,
     cycle_laplacian_eigendata,
-    cycle_laplacian_matrix,
     dressing_bit,
     fixed_dim,
-    fixed_dim_projector_oracle,
     isotypic_irreps,
     permutation_isotypic,
 )
 
 from float_characters import char_inner, permutation_character
+from oracles.reps import cycle_laplacian_matrix, fixed_dim_projector_oracle
 
 
 def test_character_counts():

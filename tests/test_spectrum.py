@@ -15,14 +15,14 @@ from ringwaves.spectrum import (
     index_sets,
     linear_curve,
     mu,
-    newton_critical_oracle,
     rho,
     sigmoid_curve,
     table_curve,
-    winding_oracle,
     xi,
     xi_lower_bound_constant,
 )
+
+from oracles.spectrum import newton_critical_oracle, winding_oracle
 
 
 @pytest.fixture()

@@ -16,11 +16,11 @@ from ringwaves.twisted import (
     fold,
     hom_to_circle,
     module_product,
-    module_product_oracle,
-    quotient_weyl_oracle,
     twisted_context,
     _module_generator_product,
 )
+
+from oracles.twisted import module_product_oracle, quotient_weyl_oracle, realize_in_quotient
 
 
 def reflection_subgroup(lat, rot):
@@ -162,8 +162,6 @@ def test_fold_preimage_elementwise(lat3, ctx3):
     ((t2, coeff),) = folded.coeffs
     assert coeff == 1 and t2 == TwistedOrbitType(t.kphi, 2)
     # and the preimage subgroup realized in a quotient has doubled circle part
-    from ringwaves.twisted import realize_in_quotient
-
     q = 8
     h1 = realize_in_quotient(ctx3, t, q)
     h2 = realize_in_quotient(ctx3, t2, q)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ringwaves import verify
 from ringwaves.bifurcation import maximal_orbit_generators, symmetry_relations
+from ringwaves.reps import LaplacianEigendata
 from ringwaves.spectrum import ModelParams, critical_point
 from ringwaves.verify import (
     GridFunction,
@@ -168,6 +171,19 @@ def test_assemble_validates_sizes(params):
         assemble(params, 0.0, 0.0, "fd", 2, 8)
     with pytest.raises(ValueError):
         assemble(params, 0.0, 0.0, "nope", 8, 8)
+
+
+def test_assemble_caps_the_values_of_all_blocks(params, monkeypatch):
+    # without numpy in verify, any block assemble made would raise instead
+    monkeypatch.setattr(verify, "np", None)
+    # a spectral block of (12, 10) holds 250^2 values: 128 of them fit, 129 do not
+    for N in (256, 100_000):
+        with pytest.raises(ValueError, match="blocks of 62500 values exceed"):
+            assemble(ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=N), 0.1, 0.1, "spectral", 12, 10)
+    # one eigendata row of huge multiplicity counts as that many blocks
+    huge = replace(params, eigendata=LaplacianEigendata(((0, 0.0, 10**12),)))
+    with pytest.raises(ValueError, match="1000000000000 fd blocks"):
+        assemble(huge, 0.1, 0.1, "fd", 8, 8)
 
 
 def test_eigenfunctions_pass_their_relation_suites():
