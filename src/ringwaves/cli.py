@@ -173,12 +173,18 @@ def _load_config(args) -> RunConfig:
             raise ValueError(f"{key} must be finite, got {value}")
     _check_rows("zeta_table", cfg.zeta_table, 2)
     _check_rows("eigendata", cfg.eigendata, 3)
+    # an N-component field holds each isotypic block at most N times, and
+    # each block once: a second row for j would be a second z for one block
+    seen = set()
     for row in cfg.eigendata or ():
         j, _z, mult = row
         if not (isinstance(j, int) and isinstance(mult, int)
-                and 0 <= j <= cfg.N // 2 and mult >= 1):
+                and 0 <= j <= cfg.N // 2 and 1 <= mult <= cfg.N):
             raise ValueError(f"eigendata row {row} needs an integer j in 0..{cfg.N // 2} "
-                             "and a positive integer multiplicity")
+                             f"and an integer multiplicity in 1..{cfg.N}")
+        if j in seen:
+            raise ValueError(f"eigendata lists isotypic index {j} twice")
+        seen.add(j)
     return cfg
 
 

@@ -7,8 +7,10 @@ multiplier) whose eigenvalues must reproduce the closed-form products, and a
 finite-difference one (periodic time grid, Dirichlet space grid, delay by
 linear interpolation between time planes) that knows nothing about the
 closed form and is used for smallest-singular-value scans near predicted
-critical points.  The FD blocks are normal, so each is kept as its
-eigenvalues, read off the stencil's symbol.  Grid symmetry checks run the
+critical points.  Both are kept as eigenvalues, one array per isotypic
+index: the FD blocks are normal, so theirs are read off the stencil's
+symbol, and the spectral blocks split into 1 x 1 and 2 x 2 blocks, solved
+in one batch.  Grid symmetry checks run the
 machine-readable relations emitted by the prediction layer; periodic time
 shifts are applied by exact trigonometric interpolation so band-limited data
 loses no accuracy.
@@ -31,12 +33,12 @@ MAX_ASSEMBLY_VALUES = 8_000_000  # cap on the values of all blocks of one discre
 
 @dataclass(frozen=True)
 class Discretization:
-    """Assembled real matrices of the linearized operator, one per block."""
+    """Eigenvalues of the linearized operator, one array per isotypic block."""
 
     mode: str  # "spectral" | "fd"
     m_t: int
     m_x: int
-    blocks: dict  # isotypic index j -> dense matrix (spectral) or eigenvalues (fd)
+    blocks: dict  # isotypic index j -> that block's eigenvalues
     alpha: float
     beta: float
 
@@ -50,46 +52,35 @@ def assemble(
         raise ValueError(f"grid {m_t}x{m_x} exceeds {MAX_GRID_POINTS} points")
     if mode not in ("spectral", "fd"):
         raise ValueError("mode must be 'spectral' or 'fd'")
-    # one block per (j, k): a spectral block is a dense square, an fd block
-    # its m_t * m_x eigenvalues
-    per_block = (m_x + 2 * m_t * m_x) ** 2 if mode == "spectral" else m_t * m_x
-    n_blocks = sum(mult for _j, _z, mult in params.eigendata.entries)
+    # one block of eigenvalues per isotypic index j, shared by its k copies
+    per_block = m_x + 2 * m_t * m_x if mode == "spectral" else m_t * m_x
+    n_blocks = len(params.eigendata.entries)
     if n_blocks * per_block > MAX_ASSEMBLY_VALUES:
         raise ValueError(f"{n_blocks} {mode} blocks of {per_block} values exceed "
                          f"{MAX_ASSEMBLY_VALUES} values")
     make_block = _spectral_block if mode == "spectral" else _fd_block
-    blocks = {
-        j: make_block(params, alpha, beta, j, k, m_t, m_x)
-        for j, k in params.eigendata.indices()
-    }
+    blocks = {j: make_block(params, alpha, beta, j, m_t, m_x)
+              for j, _z, _mult in params.eigendata.entries}
     return Discretization(mode, m_t, m_x, blocks, alpha, beta)
 
 
-def _spectral_block(params, alpha, beta, j, k, m_t, m_x) -> np.ndarray:
-    """Action on {v_n(x) cos(mt), v_n(x) sin(mt)} coefficient pairs.
+def _spectral_block(params, alpha, beta, j, m_t, m_x) -> np.ndarray:
+    """Eigenvalues of the action on {v_n(x) cos(mt), v_n(x) sin(mt)} coefficients.
 
-    Produced from the operator's action on the basis functions (derivatives
+    Entries come from the operator's action on the basis functions (derivatives
     and the delay shift expanded by trigonometric identities), not from the
-    closed-form eigenvalue expression.
+    closed form.  Each m = 0 mode is a 1 x 1 block, each (cos, sin) pair at
+    m >= 1 a 2 x 2 block [[d, o], [-o, d]]; one batched eigvals solves them.
     """
     nu2 = float(params.nu) ** 2
     delta, tau = params.delta, params.tau
-    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j, k) + 1.0)
-    size = m_x + 2 * m_t * m_x  # m = 0 rows plus (cos, sin) pairs
-    mat = np.zeros((size, size))
-    for n in range(1, m_x + 1):
-        mat[n - 1, n - 1] = n * n + cj + beta
-    pos = m_x
-    for m in range(1, m_t + 1):
-        for n in range(1, m_x + 1):
-            diag = -nu2 * m * m + n * n + cj + beta * math.cos(m * tau)
-            off = delta * m - beta * math.sin(m * tau)
-            mat[pos, pos] = diag
-            mat[pos + 1, pos + 1] = diag
-            mat[pos, pos + 1] = off
-            mat[pos + 1, pos] = -off
-            pos += 2
-    return mat
+    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j) + 1.0)
+    m = np.arange(1, m_t + 1, dtype=float)[:, None]
+    n2 = np.arange(1, m_x + 1, dtype=float) ** 2
+    diag = -nu2 * m * m + n2 + cj + beta * np.cos(m * tau)
+    off = np.broadcast_to(delta * m - beta * np.sin(m * tau), diag.shape)
+    pairs = np.stack([diag, off, -off, diag], axis=-1).reshape(-1, 2, 2)
+    return np.concatenate([n2 + cj + beta, np.linalg.eigvals(pairs).ravel()])
 
 
 def spectral_eigenvalue_deviation(
@@ -102,16 +93,12 @@ def spectral_eigenvalue_deviation(
     lexicographic sorting.
     """
     worst = 0.0
-    for (j, k) in params.eigendata.indices():
-        block = disc.blocks[j]
-        got = np.linalg.eigvals(block)
+    for j, got in disc.blocks.items():
         want = []
-        for n in range(1, disc.m_x + 1):
-            want.append(complex(mu_numerator(0, n, j, k, disc.alpha, disc.beta, params)))
-        for m in range(1, disc.m_t + 1):
+        for m in range(disc.m_t + 1):
             for n in range(1, disc.m_x + 1):
-                val = mu_numerator(m, n, j, k, disc.alpha, disc.beta, params)
-                want.extend([val, val.conjugate()])
+                val = complex(mu_numerator(m, n, j, 1, disc.alpha, disc.beta, params))
+                want.extend([val, val.conjugate()] if m else [val])
         got, want = _lex_sorted(got), _lex_sorted(np.array(want))
         worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
@@ -122,7 +109,7 @@ def _lex_sorted(z: np.ndarray) -> np.ndarray:
     return z[np.lexsort((z.imag, np.round(z.real, 8)))]
 
 
-def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> np.ndarray:
+def _fd_block(params, alpha, beta, j, m_t, m_x) -> np.ndarray:
     """Eigenvalues of the FD block kron(C_t, I_x) + kron(I_t, -D_xx).
 
     C_t is circulant: centred time derivatives, damping, the delay by linear
@@ -133,7 +120,7 @@ def _fd_block(params, alpha, beta, j, k, m_t, m_x) -> np.ndarray:
     """
     nu2 = float(params.nu) ** 2
     delta, tau = params.delta, params.tau
-    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j, k) + 1.0)
+    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j) + 1.0)
     dt = 2.0 * math.pi / m_t
     dx = math.pi / (m_x + 1)
 

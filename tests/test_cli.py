@@ -217,6 +217,35 @@ def test_invariant_matches_golden(capsys, golden, argv):
     _assert_same(json.loads(out), _read_report(DATA / golden))
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("critical_points_N3.json",
+         ["critical-points", "--N", "3", "--tau", "2.0", "--m-max", "5", "--n-max", "5"]),
+        ("predict_N7.json", ["predict", "--N", "7", "--tau", "2.0", "--m-max", "1", "--n-max", "1"]),
+    ],
+    ids=["readme-critical-points", "readme-predict"],
+)
+def test_readme_report_matches_golden(capsys, golden, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    _assert_same(json.loads(out), _read_report(DATA / golden))
+
+
+def test_readme_verify_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, "verify", "--N", "3", "--tau", "2.0", "--m", "1", "--n", "1", "--j", "0",
+                  "--grid-t", "128", "--grid-x", "64", "--out", "scan.json")
+    assert code == 0
+    golden = DATA / "verify_N3"
+    got, want = _read_report(tmp_path / "scan.json"), _read_report(golden / "scan.json")
+    # the spectral deviation is rounding noise: held to its bound, not its value
+    assert got.pop("spectral_deviation") <= want["tolerances"]["spectral"]
+    del want["spectral_deviation"]
+    _assert_same(got, want)
+    _assert_same(_read_report(tmp_path / "scan.csv"), _read_report(golden / "scan.csv"))
+
+
 def test_readme_group_tables_match_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "group-tables", "--N", "3", "--characters", "--out", "tables/")
@@ -328,11 +357,14 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"zeta": "table", "zeta_table": [[0, 0], [0, 1], [1, 2]]}),
         (["export-eigenfunction", "--N", "1000", "--grid-t", "64", "--grid-x", "32"], None),
         (["verify", "--N", "100000"], None),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 3.0, 1], [1, 5.0, 1]]}),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1000000000000]]}),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
          "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha",
-         "export-values-cap", "verify-values-cap"],
+         "export-values-cap", "verify-values-cap", "eigendata-repeated-index",
+         "eigendata-multiplicity-above-N"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from ringwaves import verify
 from ringwaves.bifurcation import maximal_orbit_generators, symmetry_relations
+from ringwaves.cli import main
 from ringwaves.reps import LaplacianEigendata
 from ringwaves.spectrum import ModelParams, critical_point
 from ringwaves.verify import (
@@ -63,6 +64,28 @@ def _fd_matrix(params, alpha, beta, j, k, m_t, m_x):
     return block.tocsc()
 
 
+def _spectral_matrix(params, alpha, beta, j, m_t, m_x):
+    """Oracle: the spectral block as the dense matrix of its action on the
+    {v_n(x) cos(mt), v_n(x) sin(mt)} coefficients, m = 0 rows first."""
+    nu2 = float(params.nu) ** 2
+    delta, tau = params.delta, params.tau
+    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j) + 1.0)
+    size = m_x + 2 * m_t * m_x
+    mat = np.zeros((size, size))
+    for n in range(1, m_x + 1):
+        mat[n - 1, n - 1] = n * n + cj + beta
+    pos = m_x
+    for m in range(1, m_t + 1):
+        for n in range(1, m_x + 1):
+            diag = -nu2 * m * m + n * n + cj + beta * math.cos(m * tau)
+            off = delta * m - beta * math.sin(m * tau)
+            mat[pos, pos] = mat[pos + 1, pos + 1] = diag
+            mat[pos, pos + 1] = off
+            mat[pos + 1, pos] = -off
+            pos += 2
+    return mat
+
+
 def _lanczos_sigma_min(matrix):
     """Oracle: sparse LU + Lanczos on the inverse normal operator, seeded."""
     n = matrix.shape[0]
@@ -90,6 +113,50 @@ def test_spectral_assembly_random_points():
         alpha, beta = float(rng.normal()), float(rng.normal())
         disc = assemble(p, alpha, beta, "spectral", 6, 5)
         assert spectral_eigenvalue_deviation(disc, p) < 1e-10
+
+
+def test_batched_spectral_eigenvalues_equal_dense_eigvals():
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        p = ModelParams(
+            nu=Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
+            delta=float(rng.uniform(0.2, 2.0)),
+            tau=float(rng.uniform(0.5, 3.0)),
+            N=int(rng.integers(3, 7)),
+        )
+        alpha, beta = float(rng.normal()), float(rng.normal())
+        m_t, m_x = int(rng.integers(4, 13)), int(rng.integers(4, 11))
+        disc = assemble(p, alpha, beta, "spectral", m_t, m_x)
+        assert sorted(disc.blocks) == [j for j, _z, _mult in p.eigendata.entries]
+        for j, got in disc.blocks.items():
+            want = np.linalg.eigvals(_spectral_matrix(p, alpha, beta, j, m_t, m_x))
+            assert got.shape == want.shape == (m_x + 2 * m_t * m_x,)
+            got, want = verify._lex_sorted(got), verify._lex_sorted(want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_multiplicity_builds_one_block_per_index(monkeypatch, tmp_path, capsys):
+    # N = 4 holds each isotypic block up to 4 times; copies share their block
+    single = [[0, 0.0, 1], [1, 2.0, 1], [2, 4.0, 1]]
+    quadruple = [[j, z, 4] for j, z, _mult in single]
+    calls = []
+    for name in ("_spectral_block", "_fd_block"):
+        build = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, build=build: calls.append(a[3]) or build(*a))
+    p = ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=4,
+                    eigendata=LaplacianEigendata(tuple(map(tuple, quadruple))))
+    assert sorted(assemble(p, 0.1, 0.2, "spectral", 6, 5).blocks) == [0, 1, 2]
+    assert calls == [0, 1, 2]
+    reports = []
+    for rows in (single, quadruple):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": 4, "tau": 2.0, "eigendata": rows}))
+        calls.clear()
+        assert main(["verify", "--config", str(cfg), "--grid-t", "16", "--grid-x", "8",
+                     "--ring-points", "2"]) == 0
+        assert calls == [0, 1, 2] * 4  # centre, two ring points, spectral check
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_fd_far_from_critical_nonsingular(params):
@@ -173,17 +240,22 @@ def test_assemble_validates_sizes(params):
         assemble(params, 0.0, 0.0, "nope", 8, 8)
 
 
-def test_assemble_caps_the_values_of_all_blocks(params, monkeypatch):
-    # without numpy in verify, any block assemble made would raise instead
+def test_assemble_caps_the_values_of_all_blocks(monkeypatch):
+    # an fd block of 128 x 64 holds 8192 values: 976 blocks (N = 1951) fit
+    # in MAX_ASSEMBLY_VALUES, 977 (N = 1952) do not
+    built = []
+    monkeypatch.setattr(verify, "_fd_block", lambda *a: built.append(a[3]))
+    disc = assemble(ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=1951), 0.1, 0.1, "fd", 128, 64)
+    assert len(disc.blocks) == len(built) == 976
+    # without numpy in verify, any array assemble made would raise instead
     monkeypatch.setattr(verify, "np", None)
-    # a spectral block of (12, 10) holds 250^2 values: 128 of them fit, 129 do not
-    for N in (256, 100_000):
-        with pytest.raises(ValueError, match="blocks of 62500 values exceed"):
-            assemble(ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=N), 0.1, 0.1, "spectral", 12, 10)
-    # one eigendata row of huge multiplicity counts as that many blocks
-    huge = replace(params, eigendata=LaplacianEigendata(((0, 0.0, 10**12),)))
-    with pytest.raises(ValueError, match="1000000000000 fd blocks"):
-        assemble(huge, 0.1, 0.1, "fd", 8, 8)
+    built.clear()
+    for N, mode, message in ((1952, "fd", "977 fd blocks of 8192 values exceed"),
+                             (100_000, "fd", "50001 fd blocks of 8192 values exceed"),
+                             (1951, "spectral", "976 spectral blocks of 16448 values exceed")):
+        with pytest.raises(ValueError, match=message):
+            assemble(ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=N), 0.1, 0.1, mode, 128, 64)
+    assert built == []
 
 
 def test_eigenfunctions_pass_their_relation_suites():
