@@ -15,12 +15,14 @@ Circle coordinates must be exact rational turns so that group is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExactnessError
 from .groups import DihedralElement, GammaPrimeElement, generated
+
+MAX_CLOSURE_ELEMENTS = 100_000  # cap on the elements of one generated circle subgroup
 
 _EXACT_COS = {
     Fraction(0, 1): 1.0,
@@ -218,9 +220,10 @@ def generated_group(generators) -> list:
     def mul(a, b):
         return ((a[0] + b[0]) % q, a[1] * b[1])
 
-    elems = generated(gens, mul, [(0, g0 * g0.inverse())], limit=100_000)
+    elems = generated(gens, mul, [(0, g0 * g0.inverse())], limit=MAX_CLOSURE_ELEMENTS)
     if elems is None:
-        raise ValueError("generated circle subgroup is too large to be finite")
+        raise ValueError(f"generated circle subgroup has more than {MAX_CLOSURE_ELEMENTS} "
+                         "elements, the closure limit")
     return [(Fraction(t, q), g) for t, g in elems]
 
 
@@ -245,14 +248,22 @@ class LaplacianEigendata:
     """Eigenvalues z_{j,k} >= 0 of an invariant coupling Laplacian."""
 
     entries: tuple  # tuple of (j, z, multiplicity)
+    _by_j: dict = field(init=False, repr=False, compare=False)  # j -> (z, mult), first row wins
+
+    def __post_init__(self):
+        by_j = {}
+        for j, z, mult in self.entries:
+            by_j.setdefault(j, (z, mult))
+        object.__setattr__(self, "_by_j", by_j)
 
     def z(self, j: int, k: int = 1) -> float:
-        for jj, z, mult in self.entries:
-            if jj == j:
-                if not 1 <= k <= mult:
-                    raise ValueError(f"multiplicity index {k} out of range for j={j}")
-                return z
-        raise ValueError(f"unknown isotypic index {j}")
+        got = self._by_j.get(j)
+        if got is None:
+            raise ValueError(f"unknown isotypic index {j}")
+        z, mult = got
+        if not 1 <= k <= mult:
+            raise ValueError(f"multiplicity index {k} out of range for j={j}")
+        return z
 
     def indices(self):
         for j, _z, mult in self.entries:

@@ -1,6 +1,7 @@
-"""Crossing signs by winding integration and critical points by Newton's method.
+"""Crossing signs by winding integration, critical points by Newton's method,
+and the spectral cross-check one eigenvalue at a time.
 
-Independent of the closed forms in `ringwaves.spectrum`: both work on the
+Independent of the closed forms in `ringwaves.spectrum`: all work on the
 numerator of mu_{m,n,j,k} as a function of (alpha, beta), numerically.
 """
 
@@ -92,3 +93,36 @@ def newton_critical_oracle(
         a -= step[0]
         b -= step[1]
     return None
+
+
+def _lex_key(z: complex):
+    return round(z.real, 8), z.imag
+
+
+def closed_form_deviation_oracle(disc, params: ModelParams) -> float:
+    """`verify.spectral_eigenvalue_deviation` one eigenvalue at a time.
+
+    For every (j, k) of the eigendata, not once per block, the numerator
+    xi_{m,n} mu_{m,n,j,k} is evaluated at each (m, n), with its conjugate
+    for m >= 1, and compared with the block of j after sorting both by real
+    part rounded to 8 decimals, then by imaginary part.
+    """
+    nu2 = float(params.nu) ** 2
+    zeta = params.zeta.evaluate(disc.alpha)
+    worst = 0.0
+    for j, k in params.eigendata.indices():
+        want = []
+        for m in range(disc.m_t + 1):
+            for n in range(1, disc.m_x + 1):
+                val = (
+                    complex(-nu2 * m * m + n * n, params.delta * m)
+                    + zeta * (params.eigendata.z(j, k) + 1.0)
+                    + disc.beta * cmath.exp(-1j * m * params.tau)
+                )
+                want.extend([val, val.conjugate()] if m else [val])
+        got = sorted(disc.blocks[j].tolist(), key=_lex_key)
+        if len(got) != len(want):
+            raise AssertionError(f"block {j} holds {len(got)} eigenvalues, not {len(want)}")
+        want.sort(key=_lex_key)
+        worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
+    return worst

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringwaves
-from ringwaves import verify
+from ringwaves import cli, verify
 from ringwaves.cli import main
 from ringwaves.verify import eigenfunction
 
@@ -359,12 +359,19 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         (["verify", "--N", "100000"], None),
         ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 3.0, 1], [1, 5.0, 1]]}),
         ([], {"N": 3, "eigendata": [[0, 0.0, 1000000000000]]}),
+        ([], {"N": 3, "eigendata": [[0, float("nan"), 1], [1, 3.0, 1]]}),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, -3.0, 1]]}),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, float("inf"), 1]]}),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 10**400, 1]]}),
+        ([], {"zeta": "table", "zeta_table": [[0, 0], [1, 10**400]]}),
+        ([], {"alpha": 10**400, "beta": 1.0}),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
          "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha",
          "export-values-cap", "verify-values-cap", "eigendata-repeated-index",
-         "eigendata-multiplicity-above-N"],
+         "eigendata-multiplicity-above-N", "eigendata-z-nan", "eigendata-z-negative",
+         "eigendata-z-inf", "eigendata-z-huge-int", "table-huge-int", "config-alpha-huge-int"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -376,6 +383,58 @@ def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, conf
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("z, shown", [("NaN", "nan"), ("-3.0", "-3.0"), ("1e400", "inf")])
+@pytest.mark.parametrize("command", ["critical-points", "predict", "verify"])
+def test_eigendata_z_outside_the_floats_above_zero_exits_with_one_line(tmp_path, capsys,
+                                                                        command, z, shown):
+    # critical-points ran these with exit 0 and without the block's critical
+    # points; json reads 1e400 as inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"N": 3, "eigendata": [[0, 0.0, 1], [1, %s, 1]]}' % z)
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: eigendata row [1, {shown}, 1] needs a finite "
+                            "eigenvalue z >= 0\n")
+
+
+def test_circle_closure_limit_exits_with_its_size(tmp_path, monkeypatch, capsys):
+    # the relations of --m 20000 generate a finite group of more than 1e5 elements
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-eigenfunction", "--N", "3", "--m", "20000", "--grid-t", "8",
+                 "--grid-x", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: generated circle subgroup has more than 100000 elements, "
+                   "the closure limit\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_commands():
+    """argv of each `ringwaves ...` line of the README's command-line block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("ringwaves ")]
+
+
+def test_reused_parser_gives_identical_runs(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; a second run must not see the first
+    commands = _readme_commands()
+    assert len(commands) == 6
+    cli.build_parser.cache_clear()
+    for i, argv in enumerate(commands):
+        runs = []
+        for attempt in range(2):
+            work = tmp_path / f"{i}-{attempt}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert main(argv) == 0, argv
+            written = {p.relative_to(work).as_posix(): p.read_bytes()
+                       for p in sorted(work.rglob("*")) if p.is_file()}
+            runs.append((capsys.readouterr().out, written))
+        assert runs[0] == runs[1], argv
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(

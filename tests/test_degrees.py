@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringwaves.burnside import BurnsideElement
 from ringwaves.degrees import (
@@ -13,7 +15,7 @@ from ringwaves.degrees import (
 )
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
 from ringwaves.reps import DressedIrrep, GIrrep, character_table
-from ringwaves.twisted import fold
+from ringwaves.twisted import fold, twisted_context
 
 from oracles.burnside import multiply_oracle
 from oracles.twisted import quotient_weyl_oracle
@@ -91,6 +93,27 @@ def test_maximal_closed_form(ctx3):
             for t in maximal_kind_types(rep, ctx3):
                 dim = twisted_fixed_dim(ctx3, t.kphi, rep.dressed)
                 assert 2 * ctx3.weyl_t(t) * deg.coeff(t) == dim
+
+
+def _irrep_case(n):
+    return st.tuples(st.just(n), st.sampled_from(character_table(n)), st.sampled_from((0, 1)),
+                     st.integers(1, 6))
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 10).flatmap(_irrep_case))  # N = 11 is left to a test of cold builds
+def test_maximal_twisted_coefficients_equal_dim_over_twice_weyl(case):
+    # nothing larger than a maximal type contributes to its mark equation, so
+    # its coefficient is dim/2 over the Weyl order, here the quotient oracle's
+    n, ir, bit, m = case
+    ctx = twisted_context(gamma_prime_lattice(n))
+    rep = GIrrep(m, DressedIrrep(ir, bit))
+    deg = twisted_basic_degree(rep, ctx)
+    types = maximal_kind_types(rep, ctx)
+    assert types
+    for t in types:
+        dim = twisted_fixed_dim(ctx, t.kphi, rep.dressed)
+        assert 2 * quotient_weyl_oracle(ctx, t) * deg.coeff(t) == dim, (n, ir.label, bit, m)
 
 
 def test_fold_relates_twisted_degrees(ctx3):

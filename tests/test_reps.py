@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringwaves.groups import (
     DihedralElement,
@@ -15,10 +17,13 @@ from ringwaves.groups import (
 from ringwaves.reps import (
     DressedIrrep,
     GIrrep,
+    MAX_CLOSURE_ELEMENTS,
+    LaplacianEigendata,
     character_table,
     cycle_laplacian_eigendata,
     dressing_bit,
     fixed_dim,
+    generated_group,
     isotypic_irreps,
     permutation_isotypic,
 )
@@ -176,6 +181,41 @@ def test_laplacian_multiplicity_bounds():
         data.z(9)
     with pytest.raises(ValueError):
         data.z(1, 2)
+
+
+def _scan_z(entries, j, k):
+    """The lookup as a linear scan over the rows: the first row of j wins."""
+    for jj, z, mult in entries:
+        if jj == j:
+            if not 1 <= k <= mult:
+                raise ValueError(f"multiplicity index {k} out of range for j={j}")
+            return z
+    raise ValueError(f"unknown isotypic index {j}")
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+eigendata_rows = st.lists(
+    st.tuples(st.integers(0, 5), st.floats(0.0, 16.0), st.integers(1, 4)), max_size=6)
+
+
+@given(eigendata_rows, st.integers(-1, 6), st.integers(-1, 5))
+def test_eigendata_lookup_matches_linear_scan(rows, j, k):
+    data = LaplacianEigendata(tuple(rows))
+    assert _outcome(data.z, j, k) == _outcome(_scan_z, rows, j, k)
+
+
+def test_circle_closure_limit_is_named():
+    # a finite group above the closure limit used to be called infinite
+    e = GammaPrimeElement(1, 1, DihedralElement(0, False, 3))
+    assert len(generated_group([(Fraction(1, MAX_CLOSURE_ELEMENTS), e)])) == MAX_CLOSURE_ELEMENTS
+    with pytest.raises(ValueError, match="more than 100000 elements, the closure limit"):
+        generated_group([(Fraction(1, MAX_CLOSURE_ELEMENTS + 1), e)])
 
 
 def test_dressing_bit_parity():

@@ -26,6 +26,8 @@ from ringwaves.verify import (
     transverse_profile,
 )
 
+from oracles.spectrum import closed_form_deviation_oracle
+
 
 @pytest.fixture()
 def params():
@@ -113,6 +115,32 @@ def test_spectral_assembly_random_points():
         alpha, beta = float(rng.normal()), float(rng.normal())
         disc = assemble(p, alpha, beta, "spectral", 6, 5)
         assert spectral_eigenvalue_deviation(disc, p) < 1e-10
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_spectral_deviation_matches_per_eigenvalue_oracle(N):
+    # verify's fixed 12 x 10 cross-check at the (1, 1, 0) critical point
+    p = ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=N)
+    disc = assemble(p, *critical_point(1, 1, 0, 1, p), "spectral", 12, 10)
+    got, want = spectral_eigenvalue_deviation(disc, p), closed_form_deviation_oracle(disc, p)
+    assert got <= 1e-10 and want <= 1e-10
+    assert abs(got - want) <= 1e-12
+
+
+def test_spectral_deviation_with_multiplicity_matches_oracle():
+    # the oracle checks each multiplicity copy; production checks each block once
+    p = ModelParams(nu=Fraction(3, 4), delta=0.7, tau=0.84, N=4,
+                    eigendata=LaplacianEigendata(((0, 0.0, 1), (1, 2.0, 3), (2, 4.0, 2))))
+    disc = assemble(p, 0.3, -0.6, "spectral", 12, 10)
+    got, want = spectral_eigenvalue_deviation(disc, p), closed_form_deviation_oracle(disc, p)
+    assert got <= 1e-10 and want <= 1e-10
+    assert abs(got - want) <= 1e-12
+
+
+def test_verify_at_the_documented_ring_size_limit(capsys):
+    assert main(["verify", "--N", "1951"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["spectral_deviation"] <= report["tolerances"]["spectral"] == 1e-10
 
 
 def test_batched_spectral_eigenvalues_equal_dense_eigvals():
