@@ -19,7 +19,7 @@ from .burnside import BurnsideElement
 from .degrees import linear_iso_degree, twisted_basic_degree
 from .errors import DegenerateParameterError
 from .groups import DihedralElement, GammaPrimeElement, SubgroupClassLattice, gamma_prime_lattice
-from .reps import DressedIrrep, GIrrep, dressing_bit, fixed_dim, generated_group, isotypic_irreps
+from .reps import DressedIrrep, GIrrep, circle_closure, dressing_bit, fixed_dim, isotypic_irreps
 from .spectrum import (
     CriticalPoint,
     IndexQuad,
@@ -177,15 +177,11 @@ def maximal_orbit_generators(N: int, m: int, n: int, j: int) -> dict:
 
 def generators_to_type(ctx: TwistedContext, gens: OrbitGenerators, m: int):
     """Canonical twisted orbit type generated by an explicit generator list."""
-    group = ctx.group
-    closure = generated_group(gens.elements)
-    members = set()
-    phi = {}
-    for turn, el in closure:
-        idx = group.index[el]
-        members.add(idx)
-        phi[idx] = (m * turn) % 1
-    return ctx.type_of(frozenset(members), phi, m)
+    if gens.elements[0][1].dihedral.n != ctx.group.n:
+        raise ValueError("generators and context have different ring sizes")
+    q, pairs = circle_closure(gens.elements)
+    phi = {idx: Fraction(m * t % q, q) for t, idx in pairs}
+    return ctx.type_of(frozenset(phi), phi, m)
 
 
 def symmetry_relations(gens: OrbitGenerators, *legacy):

@@ -1,10 +1,12 @@
 """Exact finite-group machinery for the coupled-string symmetry groups.
 
 Builds the dihedral group D_N and the full finite symmetry factor
-Z2 x Z2 x D_N as Cayley-complete groups with densely indexed elements,
-lists their subgroups from the known subgroups of D_N (lifted through
-Z2 x Z2 by Goursat's lemma), and organizes subgroups into conjugacy classes
-with Weyl orders and the subconjugation counting table n(H, K).  Everything
+Z2 x Z2 x D_N with elements indexed in closed form: element
+((k1 * 2 + k2) * 2 + s) * N + r is (kappa1, kappa2, gamma^r kappa^s), so
+products, inverses and the Cayley table follow from a formula.  Lists
+their subgroups from the known subgroups of D_N (lifted through Z2 x Z2 by
+Goursat's lemma), and organizes subgroups into conjugacy classes with Weyl
+orders and the subconjugation counting table n(H, K).  Everything
 downstream (Burnside arithmetic, basic degrees, twisted orbit types)
 consumes this data.
 """
@@ -108,43 +110,74 @@ def generated(gens, mul, base, limit=None):
     return elems
 
 
-class FiniteGroup:
-    """A finite group given by an element list and a full Cayley table.
+def mul_index(a: int, b: int, n: int) -> int:
+    """Product of the elements with indices a and b in Z2 x Z2 x D_N (or D_N).
 
-    Elements are referred to by dense indices 0..order-1; all tables are
-    immutable after construction and safe for concurrent reads.
+    Index ((k1 * 2 + k2) * 2 + s) * N + r is (kappa1, kappa2, gamma^r kappa^s),
+    with bit k_i set for kappa_i = -1.  The sign and reflection bits of a
+    product are the XOR of its factors' bits, and gamma^r kappa^s gamma^x =
+    gamma^(r -+ x) kappa^s.
+    """
+    ha, ra = divmod(a, n)
+    hb, rb = divmod(b, n)
+    return (ha ^ hb) * n + (ra - rb if ha & 1 else ra + rb) % n
+
+
+def gamma_prime_index(el: GammaPrimeElement) -> int:
+    """Index of `el` in gamma_prime(N); see `mul_index`."""
+    d = el.dihedral
+    return (((el.kappa1 < 0) * 2 + (el.kappa2 < 0)) * 2 + d.ref) * d.n + d.rot
+
+
+def gamma_prime_element(i: int, n: int) -> GammaPrimeElement:
+    """Element with index i in gamma_prime(n); inverse of `gamma_prime_index`."""
+    h, r = divmod(i, n)
+    return GammaPrimeElement(1 - (h >> 1 & 2), 1 - (h & 2), DihedralElement(r, bool(h & 1), n))
+
+
+class FiniteGroup:
+    """D_N, or Z2 x Z2 x D_N with `signs`, indexed as in `mul_index`.
+
+    The identity is 0 and D_N is the indices below 2N.  The Cayley table,
+    inverses and the conjugators (gamma and kappa: the sign factors are
+    central, so they generate every conjugation) come in closed form; all
+    tables are immutable after construction and safe for concurrent reads.
     """
 
-    def __init__(self, elements, mul):
+    def __init__(self, n: int, signs: bool):
+        if n < 3:
+            raise ValueError("cycle model needs N >= 3")
+        elements = [DihedralElement(r, bool(s), n) for s in (0, 1) for r in range(n)]
+        if signs:
+            elements = [GammaPrimeElement(k1, k2, d)
+                        for k1 in (1, -1) for k2 in (1, -1) for d in elements]
+        self.n = n
         self.elements = tuple(elements)
         self.order = len(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        if len(index) != self.order:
-            raise ValueError("duplicate elements")
-        self.index = index
-        self.table = tuple(
-            tuple(index[mul(a, b)] for b in self.elements) for a in self.elements
-        )
-        identity = None
-        for i in range(self.order):
-            if all(self.table[i][j] == j for j in range(self.order)):
-                identity = i
-                break
-        if identity is None:
-            raise ValueError("no identity element")
-        self.identity = identity
-        inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == identity:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):
-            raise ValueError("missing inverses")
-        self.inverse = tuple(inv)
-        for row in self.table:
-            if len(set(row)) != self.order:
-                raise ValueError("Cayley table row is not a permutation")
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.identity = 0
+        self.conjugators = (1, n)
+        heads = range(self.order // n)  # the values of (k1 * 2 + k2) * 2 + s
+        inverse, table = [], []
+        for h in heads:
+            o = h * n
+            if h & 1:  # reflections are involutions
+                inverse += range(o, o + n)
+            else:
+                inverse += [o, *range(o + n - 1, o, -1)]
+            for r in range(n):
+                row = []  # the products with each block of n, as rotated ranges
+                for hb in heads:
+                    b = (h ^ hb) * n
+                    if h & 1:
+                        row += range(b + r, b - 1, -1)
+                        row += range(b + n - 1, b + r, -1)
+                    else:
+                        row += range(b + r, b + n)
+                        row += range(b, b + r)
+                table.append(tuple(row))
+        self.inverse = tuple(inverse)
+        self.table = tuple(table)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -155,12 +188,6 @@ class FiniteGroup:
     def conj(self, g: int, h: int) -> int:
         """g h g^-1."""
         return self.table[self.table[g][h]][self.inverse[g]]
-
-    def conj_set(self, g: int, sub) -> frozenset:
-        row = self.table[g]
-        gi = self.inverse[g]
-        tab = self.table
-        return frozenset(tab[row[h]][gi] for h in sub)
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -187,28 +214,12 @@ class FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """D_N with relations g^N = e, k^2 = e, kgk = g^-1.  Requires N >= 3."""
-    if n < 3:
-        raise ValueError("cycle model needs N >= 3")
-    elements = [DihedralElement(r, bool(s), n) for s in (0, 1) for r in range(n)]
-    group = FiniteGroup(elements, lambda a, b: a * b)
-    group.name = f"D{n}"
-    return group
+    return FiniteGroup(n, signs=False)
 
 
 def gamma_prime(n: int) -> FiniteGroup:
     """Z2 x Z2 x D_N, the finite part of the model's symmetry group."""
-    if n < 3:
-        raise ValueError("cycle model needs N >= 3")
-    elements = [
-        GammaPrimeElement(k1, k2, DihedralElement(r, bool(s), n))
-        for k1 in (1, -1)
-        for k2 in (1, -1)
-        for s in (0, 1)
-        for r in range(n)
-    ]
-    group = FiniteGroup(elements, lambda a, b: a * b)
-    group.name = f"Z2xZ2xD{n}"
-    return group
+    return FiniteGroup(n, signs=True)
 
 
 @dataclass(frozen=True)
@@ -260,33 +271,24 @@ def enumerate_subgroups(group: FiniteGroup):
     a dihedral D2, v = psi(g^i k).  Sorted by (order, element tuple).
     """
     _check_order(group.order)
-    first = group.elements[0]
-    if isinstance(first, DihedralElement) and group.order == 2 * first.n:
-        n, signs = first.n, [(1, 1)]
-    elif isinstance(first, GammaPrimeElement) and group.order == 8 * first.dihedral.n:
-        n, signs = first.dihedral.n, [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    else:
-        raise ValueError(f"no subgroup list for group {getattr(group, 'name', '?')}")
-    # signs[a] is the element a of A, with a ^ b its product; pos[a][ref][rot] is
-    # the index of (signs[a], g^rot k^ref)
-    pos = [[[0] * n, [0] * n] for _ in signs]
-    for idx, e in enumerate(group.elements):
-        a, d = (0, e) if len(signs) == 1 else (signs.index((e.kappa1, e.kappa2)), e.dihedral)
-        pos[a][d.ref][d.rot] = idx
-    a_subgroups = [(0,), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)][: 1 if len(signs) == 1 else 5]
+    n, n_signs = group.n, group.order // (2 * group.n)
+    # a ^ b is the product of the elements a, b of A; (a * 2 + ref) * n + rot is
+    # the index of (a, g^rot k^ref)
+    a_subgroups = [(0,), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)][: 1 if n_signs == 1 else 5]
     subs = []
     for s, i in _dihedral_subgroups(n):
         d = n // s
         for a1 in a_subgroups:
-            cosets = sorted({min(a ^ b for b in a1) for a in range(len(signs))})  # of A/A1
+            cosets = sorted({min(a ^ b for b in a1) for a in range(n_signs)})  # of A/A1
             for u in cosets if d % 2 == 0 else (0,):
                 for v in (None,) if i is None else cosets:
                     members = []
                     for k in range(d):
                         shift = u if k % 2 else 0
-                        members += (pos[a ^ shift][0][k * s] for a in a1)
+                        members += ((a ^ shift) * 2 * n + k * s for a in a1)
                         if v is not None:
-                            members += (pos[a ^ shift ^ v][1][(k * s + i) % n] for a in a1)
+                            members += (((a ^ shift ^ v) * 2 + 1) * n + (k * s + i) % n
+                                        for a in a1)
                     subs.append(Subgroup.from_set(members))
     return sorted(subs, key=lambda s: (s.order, s.elems))
 
@@ -306,10 +308,9 @@ class SubgroupClassLattice:
         sub_ids = {s.members: i for i, s in enumerate(self.subgroups)}
         self.subgroup_ids = sub_ids
 
-        # per generator c of the group, the permutation h -> c h c^-1
+        # per conjugator c of the group, the permutation h -> c h c^-1
         self.conjugations = [
-            tuple(group.conj(c, h) for h in range(group.order))
-            for c in group.generators(range(group.order))
+            tuple(group.conj(c, h) for h in range(group.order)) for c in group.conjugators
         ]
 
         def conjugate(members, conj):
@@ -368,10 +369,6 @@ class SubgroupClassLattice:
 
     def n(self, h: int, k: int) -> int:
         return self.n_table[h][k]
-
-    def leq(self, h: int, k: int) -> bool:
-        """Subconjugation partial order (H) <= (K)."""
-        return self.n_table[h][k] > 0
 
     def class_id(self, members) -> int:
         """Class of an explicit subgroup element set; KeyError if not a subgroup."""

@@ -20,7 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExactnessError
-from .groups import DihedralElement, GammaPrimeElement, generated
+from .groups import (
+    DihedralElement,
+    GammaPrimeElement,
+    gamma_prime_element,
+    gamma_prime_index,
+    generated,
+    mul_index,
+)
 
 MAX_CLOSURE_ELEMENTS = 100_000  # cap on the elements of one generated circle subgroup
 
@@ -202,29 +209,45 @@ def dressing_bit(n: int) -> int:
     return 0 if n % 2 else 1
 
 
-def generated_group(generators) -> list:
-    """Closure of (turn, GammaPrimeElement) pairs; turns must be Fractions.
+def circle_closure(generators):
+    """Closure of (turn, GammaPrimeElement) pairs as (q, [(t, i), ...]).
 
-    Inside the closure a turn is an integer mod q, the lcm of the generators'
-    denominators.
+    Each (t, i) is the turn t / q, q the lcm of the generators' denominators,
+    with the element of index i in gamma_prime(N).  The closure runs over
+    the integer codes t * 8N + i with products by `mul_index` and no Cayley
+    table, so any N works.
     """
     generators = list(generators)
     if not all(isinstance(t, Fraction) for t, _ in generators):
         raise ValueError("circle coordinates must be exact rational turns")
     if not generators:
         raise ValueError("empty generator list")
+    n = generators[0][1].dihedral.n
+    if any(g.dihedral.n != n for _, g in generators):
+        raise ValueError("mismatched dihedral orders")
     q = math.lcm(*(t.denominator for t, _ in generators))
-    gens = [(int(t * q) % q, g) for t, g in generators]
-    g0 = generators[0][1]
+    size = 8 * n
+    gens = [t.numerator * (q // t.denominator) % q * size + gamma_prime_index(g)
+            for t, g in generators]
 
-    def mul(a, b):
-        return ((a[0] + b[0]) % q, a[1] * b[1])
+    def mul(x, y):
+        tx, ix = divmod(x, size)
+        ty, iy = divmod(y, size)
+        return (tx + ty) % q * size + mul_index(ix, iy, n)
 
-    elems = generated(gens, mul, [(0, g0 * g0.inverse())], limit=MAX_CLOSURE_ELEMENTS)
-    if elems is None:
+    codes = generated(gens, mul, [0], limit=MAX_CLOSURE_ELEMENTS)
+    if codes is None:
         raise ValueError(f"generated circle subgroup has more than {MAX_CLOSURE_ELEMENTS} "
                          "elements, the closure limit")
-    return [(Fraction(t, q), g) for t, g in elems]
+    return q, [divmod(code, size) for code in codes]
+
+
+def generated_group(generators) -> list:
+    """Closure of (turn, GammaPrimeElement) pairs; turns must be Fractions."""
+    generators = list(generators)
+    q, pairs = circle_closure(generators)
+    n = generators[0][1].dihedral.n
+    return [(Fraction(t, q), gamma_prime_element(i, n)) for t, i in pairs]
 
 
 def fixed_dim(rep, generators) -> int:

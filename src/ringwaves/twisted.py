@@ -69,7 +69,7 @@ def _commutator_subgroup(group, gens) -> frozenset:
 
 
 def _circle_homs(group, members):
-    """Integer core of `hom_to_circle`: (q, [{element: turn mod q}, ...]).
+    """All homomorphisms K -> S^1 as (q, [{element: turn mod q}, ...]).
 
     A homomorphism K -> S^1 factors through K^ab = K / [K, K].  Greedy
     generators a_1..a_r of K^ab grow a chain [K, K] = B_0 < ... < B_r = K,
@@ -106,12 +106,6 @@ def _circle_homs(group, members):
     return q, homs
 
 
-def hom_to_circle(group, members) -> list[dict]:
-    """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions)."""
-    q, homs = _circle_homs(group, members)
-    return [{k: Fraction(t, q) for k, t in phi.items()} for phi in homs]
-
-
 class TwistedContext:
     """Canonical (K, phi)-classes over a fixed Gamma' lattice.
 
@@ -127,7 +121,7 @@ class TwistedContext:
     def __init__(self, lattice: SubgroupClassLattice):
         self.lattice = lattice
         self.group = g = lattice.group
-        self.denominator = math.lcm(*(g.element_order(x) for x in range(g.order)))
+        self.denominator = math.lcm(g.n, 2)  # the exponent of D_N and of Z2 x Z2 x D_N
         self._classes = []  # canonical keys: (K tuple, turn tuple)
         self._class_ids = {}
         # per class, one (K mask, graph mask) per conjugate (K', phi'): K mask

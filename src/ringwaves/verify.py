@@ -58,9 +58,11 @@ def assemble(
     if n_blocks * per_block > MAX_ASSEMBLY_VALUES:
         raise ValueError(f"{n_blocks} {mode} blocks of {per_block} values exceed "
                          f"{MAX_ASSEMBLY_VALUES} values")
-    make_block = _spectral_block if mode == "spectral" else _fd_block
-    blocks = {j: make_block(params, alpha, beta, j, m_t, m_x)
-              for j, _z, _mult in params.eigendata.entries}
+    js = [j for j, _z, _mult in params.eigendata.entries]
+    if mode == "fd":
+        blocks = _fd_blocks(params, alpha, beta, js, m_t, m_x)
+    else:
+        blocks = {j: _spectral_block(params, alpha, beta, j, m_t, m_x) for j in js}
     return Discretization(mode, m_t, m_x, blocks, alpha, beta)
 
 
@@ -109,36 +111,38 @@ def _lex_sorted(z: np.ndarray) -> np.ndarray:
     return z[np.lexsort((z.imag, np.round(z.real, 8)))]
 
 
-def _fd_block(params, alpha, beta, j, m_t, m_x) -> np.ndarray:
-    """Eigenvalues of the FD block kron(C_t, I_x) + kron(I_t, -D_xx).
+def _fd_blocks(params, alpha, beta, js, m_t, m_x) -> dict:
+    """Eigenvalues of each FD block kron(C_t, I_x) + kron(I_t, -D_xx), by j.
 
     C_t is circulant: centred time derivatives, damping, the delay by linear
     interpolation between the two bracketing time planes, and cj.  -D_xx is
     the symmetric Dirichlet tridiagonal.  The summands commute and are
-    normal, so the block's m_t * m_x eigenvalues are c_q + a_l with c_q the
-    DFT of the time stencil and a_l the Dirichlet eigenvalues.
+    normal, so a block's m_t * m_x eigenvalues are c_q + a_l with c_q the
+    DFT of its time stencil and a_l the Dirichlet eigenvalues.  The stencils
+    differ only in cj: one row each, one batched DFT, one a.
     """
     nu2 = float(params.nu) ** 2
     delta, tau = params.delta, params.tau
-    cj = params.zeta.evaluate(alpha) * (params.eigendata.z(j) + 1.0)
+    scale = params.zeta.evaluate(alpha)
+    cj = np.array([scale * (params.eigendata.z(j) + 1.0) for j in js])
     dt = 2.0 * math.pi / m_t
     dx = math.pi / (m_x + 1)
 
-    stencil = np.zeros(m_t)  # entry a multiplies u_{k-a}
-    stencil[0] = cj - 2.0 * nu2 / (dt * dt)
-    stencil[1] = nu2 / (dt * dt) - delta / (2.0 * dt)
-    stencil[-1] = nu2 / (dt * dt) + delta / (2.0 * dt)
+    stencil = np.zeros((len(js), m_t))  # entry a of a row multiplies u_{k-a}
+    stencil[:, 0] = cj - 2.0 * nu2 / (dt * dt)
+    stencil[:, 1] = nu2 / (dt * dt) - delta / (2.0 * dt)
+    stencil[:, -1] = nu2 / (dt * dt) + delta / (2.0 * dt)
     s = tau / dt  # delay between the two bracketing time planes
     if not math.isfinite(s):
         raise ValueError(f"delay {tau} overflows the {m_t}-step time grid")
     s_hi = math.ceil(s)
     w = s_hi - s
-    stencil[(s_hi - 1) % m_t] += beta * w
-    stencil[s_hi % m_t] += beta * (1.0 - w)
+    stencil[:, (s_hi - 1) % m_t] += beta * w
+    stencil[:, s_hi % m_t] += beta * (1.0 - w)
 
-    c = np.fft.fft(stencil)
+    c = np.fft.fft(stencil, axis=1)
     a = (2.0 - 2.0 * np.cos(math.pi * np.arange(1, m_x + 1) / (m_x + 1))) / (dx * dx)
-    return (c[:, None] + a[None, :]).ravel()
+    return dict(zip(js, (c[:, :, None] + a).reshape(len(js), -1)))
 
 
 def smallest_singular_value(eigenvalues) -> float:

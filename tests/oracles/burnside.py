@@ -10,6 +10,8 @@ from functools import partial
 from ringwaves.burnside import BurnsideElement, bilinear
 from ringwaves.groups import SubgroupClassLattice
 
+from oracles.groups import conj_set
+
 
 def multiply_oracle(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Product recomputed from orbit counting on (G/H) x (G/K).
@@ -57,9 +59,9 @@ def orbit_count_product_pointwise(lat: SubgroupClassLattice, h: int, k: int) -> 
     k_cosets = _cosets(group, krep.elems)
     per_class_points: dict = {}
     for a in h_cosets:
-        ah = group.conj_set(a, hrep.elems)
+        ah = conj_set(group, a, hrep.elems)
         for b in k_cosets:
-            bk = group.conj_set(b, krep.elems)
+            bk = conj_set(group, b, krep.elems)
             cid = lat.class_id(ah & bk)
             per_class_points[cid] = per_class_points.get(cid, 0) + 1
     out = {}

@@ -1,11 +1,12 @@
 """Subgroups counted by brute force, independent of the Goursat listing in
-`ringwaves.groups.enumerate_subgroups`."""
+`ringwaves.groups.enumerate_subgroups`, and small set-level helpers that
+only tests use."""
 
 from __future__ import annotations
 
 import itertools
 
-from ringwaves.groups import FiniteGroup
+from ringwaves.groups import FiniteGroup, SubgroupClassLattice
 
 
 def subgroup_count_oracle(group: FiniteGroup, max_generators: int = 2) -> int:
@@ -29,3 +30,14 @@ def subgroup_count_oracle(group: FiniteGroup, max_generators: int = 2) -> int:
             break
         subs.update(new)
     return len(subs)
+
+
+def conj_set(group: FiniteGroup, g: int, sub) -> frozenset:
+    """g S g^-1 for a set S of element indices."""
+    row, gi, tab = group.table[g], group.inverse[g], group.table
+    return frozenset(tab[row[h]][gi] for h in sub)
+
+
+def leq(lattice: SubgroupClassLattice, h: int, k: int) -> bool:
+    """Subconjugation partial order (H) <= (K)."""
+    return lattice.n_table[h][k] > 0

@@ -1,9 +1,12 @@
-"""Explicit float matrix models and the averaging-projector rank.
+"""Explicit float matrix models, the averaging-projector rank, and the
+circle closure by dataclass products.
 
 Independent of the exact Galois averages in `ringwaves.reps.fixed_dim`: each
 irrep is rebuilt here as matrices from its data alone (label, `j`, `N`, the
 dressing bit and the circle weight `m`), and a fixed dimension is the trace
-of the averaging projector over the closed group.
+of the averaging projector over the closed group.  The closure oracle
+multiplies (Fraction, element) pairs, independent of the integer codes in
+`ringwaves.reps.circle_closure`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,27 @@ def fixed_dim_projector_oracle(rep, generators) -> int:
     rank = round(float(np.trace(proj)))
     assert np.allclose(proj @ proj, proj, atol=1e-8), "averaging is not a projector"
     return rank
+
+
+def closure_oracle(generators, limit: int):
+    """Set of (turn mod 1, element) pairs generated by `generators`, by
+    breadth-first dataclass products; None once it holds more than `limit`."""
+    gens = [(t % 1, g) for t, g in generators]
+    g0 = gens[0][1]
+    seen = {(Fraction(0), g0 * g0.inverse())}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for t, x in frontier:
+            for u, g in gens:
+                y = ((t + u) % 1, x * g)
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
+        if len(seen) > limit:
+            return None
+        frontier = grown
+    return seen
 
 
 def cycle_laplacian_matrix(N: int) -> np.ndarray:

@@ -11,7 +11,13 @@ import math
 from fractions import Fraction
 
 from ringwaves.errors import ExactnessError
-from ringwaves.twisted import TwistedContext, TwistedOrbitType
+from ringwaves.twisted import TwistedContext, TwistedOrbitType, _circle_homs
+
+
+def hom_to_circle(group, members) -> list[dict]:
+    """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions)."""
+    q, homs = _circle_homs(group, members)
+    return [{k: Fraction(t, q) for k, t in phi.items()} for phi in homs]
 
 
 def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:

@@ -680,6 +680,18 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     assert (tmp_path / "tables" / "burnside_products.csv").exists()
 
 
+def test_predict_makes_no_dataclass_group_products(monkeypatch, capsys):
+    # group arithmetic runs on integer indices; the element dataclasses are API only
+    from ringwaves.groups import DihedralElement, GammaPrimeElement
+
+    products = []
+    for cls in (GammaPrimeElement, DihedralElement):
+        monkeypatch.setattr(cls, "__mul__", lambda a, b: products.append((a, b)))
+    assert main(["predict", "--N", "7", "--m-max", "2", "--n-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["critical_points"]
+    assert products == []
+
+
 def test_no_module_imports_numpy_at_top_level():
     src = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
     found = []

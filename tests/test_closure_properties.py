@@ -5,13 +5,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringwaves import reps
 from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime
 from ringwaves.reps import generated_group
-from ringwaves.twisted import hom_to_circle
+
+from oracles.reps import closure_oracle
+from oracles.twisted import hom_to_circle
 
 rings = st.integers(3, 6)
 
@@ -42,6 +47,31 @@ def test_generated_group_is_a_subgroup_holding_the_generators(gens):
         assert ((-t) % 1, g.inverse()) in elems
         for u, h in group:
             assert ((t + u) % 1, g * h) in elems
+
+
+closure_cases = st.tuples(
+    st.integers(3, 12).flatmap(lambda N: st.lists(
+        st.tuples(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)), elements(N)),
+        min_size=1, max_size=4)),
+    st.integers(1, 300),
+)
+
+
+@settings(max_examples=150)
+@given(closure_cases)
+def test_integer_closure_matches_dataclass_closure(case):
+    # integer codes with the closed-form product against (Fraction, element)
+    # pairs multiplied as dataclasses, and the limit on either side of the size
+    gens, limit = case
+    want = closure_oracle(gens, limit)
+    with mock.patch.object(reps, "MAX_CLOSURE_ELEMENTS", limit):
+        if want is None:
+            with pytest.raises(ValueError, match=f"more than {limit} elements, the closure limit"):
+                generated_group(gens)
+            return
+        got = generated_group(gens)
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 @lru_cache(maxsize=None)

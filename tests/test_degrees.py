@@ -101,7 +101,7 @@ def _irrep_case(n):
 
 
 @settings(max_examples=60)
-@given(st.integers(3, 10).flatmap(_irrep_case))  # N = 11 is left to a test of cold builds
+@given(st.integers(3, 12).flatmap(_irrep_case))
 def test_maximal_twisted_coefficients_equal_dim_over_twice_weyl(case):
     # nothing larger than a maximal type contributes to its mark equation, so
     # its coefficient is dim/2 over the Weyl order, here the quotient oracle's

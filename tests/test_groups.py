@@ -6,13 +6,17 @@ from ringwaves import groups
 from ringwaves.errors import SizeCapError
 from ringwaves.groups import (
     DihedralElement,
+    GammaPrimeElement,
     SubgroupClassLattice,
     dihedral_group,
     enumerate_subgroups,
     gamma_prime,
+    gamma_prime_element,
+    gamma_prime_index,
+    mul_index,
 )
 
-from oracles.groups import subgroup_count_oracle
+from oracles.groups import conj_set, leq, subgroup_count_oracle
 
 
 def test_dihedral_orders_and_relations():
@@ -66,6 +70,38 @@ def test_cayley_rows_are_permutations():
     gp = gamma_prime(4)
     for row in gp.table:
         assert sorted(row) == list(range(gp.order))
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_closed_form_tables_match_the_dataclass_product(n):
+    # the group axioms, checked against the element dataclasses' own product
+    for group in (dihedral_group(n), gamma_prime(n)):
+        els, tab, order = group.elements, group.table, group.order
+        assert order == len(set(els)) == len(tab) == len(group.inverse)
+        assert els[group.identity] == els[0] * els[0].inverse()
+        for a in range(order):
+            row = tab[a]
+            assert sorted(row) == list(range(order))
+            assert tab[group.identity][a] == row[group.identity] == a
+            assert els[group.inverse[a]] == els[a].inverse()
+            assert row[group.inverse[a]] == group.identity
+            for b in range(order):
+                assert els[row[b]] == els[a] * els[b]
+                assert mul_index(a, b, n) == row[b]
+        # gamma and kappa, with the central sign factors, generate the group
+        want = [DihedralElement(1, False, n), DihedralElement(0, True, n)]
+        if order == 8 * n:
+            want = [GammaPrimeElement(1, 1, d) for d in want]
+        assert [els[c] for c in group.conjugators] == want
+        rest = DihedralElement(0, False, n)
+        signs = [i for i, x in enumerate(els) if getattr(x, "dihedral", x) == rest]
+        assert len(signs) == order // (2 * n)
+        assert all(els[z] * e == e * els[z] for z in signs for e in els)
+        assert group.closure(group.conjugators, base=signs) == frozenset(range(order))
+    gp = gamma_prime(n)
+    for i, el in enumerate(gp.elements):
+        assert gamma_prime_index(el) == i
+        assert gamma_prime_element(i, n) == el
 
 
 def test_subgroup_enumeration_counts():
@@ -125,7 +161,7 @@ def test_weyl_divisibility_and_n_diagonal():
             for k in range(lat.n_classes):
                 if lat.reps[k].order < lat.reps[h].order:
                     assert lat.n(h, k) == 0
-                if not lat.leq(h, k):
+                if not leq(lat, h, k):
                     assert lat.n(h, k) == 0
 
 
@@ -133,7 +169,7 @@ def test_total_order_refines_partial_order():
     lat = SubgroupClassLattice(gamma_prime(3))
     for h in range(lat.n_classes):
         for k in range(lat.n_classes):
-            if h != k and lat.leq(h, k):
+            if h != k and leq(lat, h, k):
                 assert k < h  # larger classes come first
 
 
@@ -142,7 +178,7 @@ def test_conjugation_permutes_subgroups():
     subs = enumerate_subgroups(group)
     all_sets = {s.members for s in subs}
     for g in range(0, group.order, 5):
-        image = {group.conj_set(g, s.elems) for s in subs}
+        image = {conj_set(group, g, s.elems) for s in subs}
         assert image == all_sets
 
 

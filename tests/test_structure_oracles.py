@@ -29,7 +29,9 @@ from ringwaves.groups import (
     gamma_prime_lattice,
     generated,
 )
-from ringwaves.twisted import TwistedOrbitType, hom_to_circle, twisted_context
+from ringwaves.twisted import TwistedOrbitType, twisted_context
+
+from oracles.twisted import hom_to_circle
 
 
 def _closure(group, gens):

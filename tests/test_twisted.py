@@ -14,13 +14,17 @@ from ringwaves.twisted import (
     TwistedSubgroup,
     TwistedSum,
     fold,
-    hom_to_circle,
     module_product,
     twisted_context,
     _module_generator_product,
 )
 
-from oracles.twisted import module_product_oracle, quotient_weyl_oracle, realize_in_quotient
+from oracles.twisted import (
+    hom_to_circle,
+    module_product_oracle,
+    quotient_weyl_oracle,
+    realize_in_quotient,
+)
 
 
 def reflection_subgroup(lat, rot):
@@ -213,9 +217,13 @@ def test_concurrent_misses_build_each_structure_once(monkeypatch):
     from collections import Counter
     from concurrent.futures import ThreadPoolExecutor
 
-    from ringwaves.groups import SubgroupClassLattice, gamma_prime_lattice
+    from ringwaves import groups, twisted
+    from ringwaves.groups import SubgroupClassLattice, build_once
     from ringwaves.twisted import TwistedContext
 
+    # fresh memo tables: whatever other tests built, every structure here misses
+    for module, name in ((groups, "gamma_prime_lattice"), (twisted, "twisted_context")):
+        monkeypatch.setattr(module, name, build_once(getattr(module, name).__wrapped__))
     built = Counter()
     for cls in (SubgroupClassLattice, TwistedContext):
 
@@ -228,7 +236,7 @@ def test_concurrent_misses_build_each_structure_once(monkeypatch):
 
     def work(_):
         barrier.wait()  # all four miss the caches together
-        return twisted_context(gamma_prime_lattice(11))  # N built by no other test
+        return twisted.twisted_context(groups.gamma_prime_lattice(11))
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         contexts = list(pool.map(work, range(4)))

@@ -168,9 +168,9 @@ def test_multiplicity_builds_one_block_per_index(monkeypatch, tmp_path, capsys):
     single = [[0, 0.0, 1], [1, 2.0, 1], [2, 4.0, 1]]
     quadruple = [[j, z, 4] for j, z, _mult in single]
     calls = []
-    for name in ("_spectral_block", "_fd_block"):
-        build = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *a, build=build: calls.append(a[3]) or build(*a))
+    spectral, fd = verify._spectral_block, verify._fd_blocks
+    monkeypatch.setattr(verify, "_spectral_block", lambda *a: calls.append(a[3]) or spectral(*a))
+    monkeypatch.setattr(verify, "_fd_blocks", lambda *a: calls.extend(a[3]) or fd(*a))
     p = ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=4,
                     eigendata=LaplacianEigendata(tuple(map(tuple, quadruple))))
     assert sorted(assemble(p, 0.1, 0.2, "spectral", 6, 5).blocks) == [0, 1, 2]
@@ -272,7 +272,7 @@ def test_assemble_caps_the_values_of_all_blocks(monkeypatch):
     # an fd block of 128 x 64 holds 8192 values: 976 blocks (N = 1951) fit
     # in MAX_ASSEMBLY_VALUES, 977 (N = 1952) do not
     built = []
-    monkeypatch.setattr(verify, "_fd_block", lambda *a: built.append(a[3]))
+    monkeypatch.setattr(verify, "_fd_blocks", lambda *a: built.extend(a[3]) or dict.fromkeys(a[3]))
     disc = assemble(ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=1951), 0.1, 0.1, "fd", 128, 64)
     assert len(disc.blocks) == len(built) == 976
     # without numpy in verify, any array assemble made would raise instead
