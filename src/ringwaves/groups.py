@@ -3,17 +3,18 @@
 Builds the dihedral group D_N and the full finite symmetry factor
 Z2 x Z2 x D_N with elements indexed in closed form: element
 ((k1 * 2 + k2) * 2 + s) * N + r is (kappa1, kappa2, gamma^r kappa^s), so
-products, inverses and the Cayley table follow from a formula.  Lists
-their subgroups from the known subgroups of D_N (lifted through Z2 x Z2 by
-Goursat's lemma), and organizes subgroups into conjugacy classes with Weyl
-orders and the subconjugation counting table n(H, K).  Everything
-downstream (Burnside arithmetic, basic degrees, twisted orbit types)
-consumes this data.
+products, inverses and conjugates follow from a formula (`mul_index`) and a
+group holds nothing quadratic in its order.  Lists their subgroups from the
+known subgroups of D_N (lifted through Z2 x Z2 by Goursat's lemma), and
+organizes subgroups into conjugacy classes with Weyl orders and the
+subconjugation counting table n(H, K).  Everything downstream (Burnside
+arithmetic, basic degrees, twisted orbit types) consumes this data.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -32,12 +33,6 @@ class DihedralElement:
 
     def __post_init__(self):
         object.__setattr__(self, "rot", self.rot % self.n)
-
-    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
-        if other.n != self.n:
-            raise ValueError("mismatched dihedral orders")
-        rot = self.rot + (other.rot if not self.ref else -other.rot)
-        return DihedralElement(rot % self.n, self.ref ^ other.ref, self.n)
 
     def inverse(self) -> "DihedralElement":
         if self.ref:
@@ -61,16 +56,6 @@ class GammaPrimeElement:
     kappa1: int
     kappa2: int
     dihedral: DihedralElement
-
-    def __mul__(self, other: "GammaPrimeElement") -> "GammaPrimeElement":
-        return GammaPrimeElement(
-            self.kappa1 * other.kappa1,
-            self.kappa2 * other.kappa2,
-            self.dihedral * other.dihedral,
-        )
-
-    def inverse(self) -> "GammaPrimeElement":
-        return GammaPrimeElement(self.kappa1, self.kappa2, self.dihedral.inverse())
 
     def __repr__(self):
         return f"({self.kappa1:+d},{self.kappa2:+d},{self.dihedral})"
@@ -118,8 +103,8 @@ def mul_index(a: int, b: int, n: int) -> int:
     product are the XOR of its factors' bits, and gamma^r kappa^s gamma^x =
     gamma^(r -+ x) kappa^s.
     """
-    ha, ra = divmod(a, n)
-    hb, rb = divmod(b, n)
+    ha, hb = a // n, b // n
+    ra, rb = a - ha * n, b - hb * n
     return (ha ^ hb) * n + (ra - rb if ha & 1 else ra + rb) % n
 
 
@@ -138,10 +123,10 @@ def gamma_prime_element(i: int, n: int) -> GammaPrimeElement:
 class FiniteGroup:
     """D_N, or Z2 x Z2 x D_N with `signs`, indexed as in `mul_index`.
 
-    The identity is 0 and D_N is the indices below 2N.  The Cayley table,
-    inverses and the conjugators (gamma and kappa: the sign factors are
-    central, so they generate every conjugation) come in closed form; all
-    tables are immutable after construction and safe for concurrent reads.
+    The identity is 0 and D_N is the indices below 2N.  Products, inverses
+    and conjugates come in closed form, and the conjugators are gamma and
+    kappa (the sign factors are central, so these two generate every
+    conjugation).  Nothing changes after construction.
     """
 
     def __init__(self, n: int, signs: bool):
@@ -154,61 +139,45 @@ class FiniteGroup:
         self.n = n
         self.elements = tuple(elements)
         self.order = len(self.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self.identity = 0
         self.conjugators = (1, n)
-        heads = range(self.order // n)  # the values of (k1 * 2 + k2) * 2 + s
-        inverse, table = [], []
-        for h in heads:
-            o = h * n
-            if h & 1:  # reflections are involutions
-                inverse += range(o, o + n)
-            else:
-                inverse += [o, *range(o + n - 1, o, -1)]
-            for r in range(n):
-                row = []  # the products with each block of n, as rotated ranges
-                for hb in heads:
-                    b = (h ^ hb) * n
-                    if h & 1:
-                        row += range(b + r, b - 1, -1)
-                        row += range(b + n - 1, b + r, -1)
-                    else:
-                        row += range(b + r, b + n)
-                        row += range(b, b + r)
-                table.append(tuple(row))
-        self.inverse = tuple(inverse)
-        self.table = tuple(table)
 
     def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return mul_index(i, j, self.n)
 
     def inv(self, i: int) -> int:
-        return self.inverse[i]
+        h, r = divmod(i, self.n)
+        return i if h & 1 else h * self.n + -r % self.n  # reflections are involutions
 
     def conj(self, g: int, h: int) -> int:
-        """g h g^-1."""
-        return self.table[self.table[g][h]][self.inverse[g]]
+        """g h g^-1: h's sign and reflection bits, and its rotation mirrored by
+        a reflecting g, then moved by twice g's rotation if h reflects."""
+        hg, rg = divmod(g, self.n)
+        hh, rh = divmod(h, self.n)
+        r = -rh if hg & 1 else rh
+        return hh * self.n + (r + 2 * rg if hh & 1 else r) % self.n
 
     def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.table[x][i]
-            k += 1
-        return k
+        h, r = divmod(i, self.n)
+        if h & 1:  # reflections are involutions
+            return 2
+        k = self.n // math.gcd(self.n, r)  # the rotation's order
+        return k if h == 0 or k % 2 == 0 else 2 * k  # a sign factor has order 2
 
     def closure(self, seed, base=None) -> frozenset:
         """Subgroup generated by the subgroup `base` and the indices in `seed`."""
-        tab = self.table
         base = [self.identity] + sorted(set(base or ()) - {self.identity})
-        return frozenset(generated(list(seed) + base, lambda a, g: tab[a][g], base))
+        return frozenset(generated(list(seed) + base, self.mul, base))
 
     def generators(self, members) -> list:
         """Greedy generating set: each member not generated by earlier picks."""
-        gens, have = [], frozenset({self.identity})
+        gens, have = [], [self.identity]
+        seen = set(have)
         for x in members:
-            if x not in have:
+            if x not in seen:
                 gens.append(x)
-                have = self.closure([x], base=have)
+                have = generated(gens, self.mul, have)
+                seen = set(have)
         return gens
 
 
@@ -406,11 +375,11 @@ def build_once(build):
 
 @build_once
 def dihedral_lattice(n: int) -> SubgroupClassLattice:
-    _check_order(2 * n)  # before the Cayley table, whose size is the order squared
+    _check_order(2 * n)  # bounds the subgroup enumeration and the n(H, K) table
     return SubgroupClassLattice(dihedral_group(n))
 
 
 @build_once
 def gamma_prime_lattice(n: int) -> SubgroupClassLattice:
-    _check_order(8 * n)  # before the Cayley table, whose size is the order squared
+    _check_order(8 * n)  # bounds the subgroup enumeration and the n(H, K) table
     return SubgroupClassLattice(gamma_prime(n))

@@ -46,12 +46,12 @@ class TwistedSubgroup:
             raise ValueError("folding must be >= 0")
         if l == 0:
             phi = {k: Fraction(0) for k in members}
-        g = lattice.group
+        mul = lattice.group.mul
         if set(phi) != members:
             raise ValueError("phi must be defined exactly on K")
         for a in members:
             for b in members:
-                if (phi[a] + phi[b] - phi[g.table[a][b]]) % 1 != 0:
+                if (phi[a] + phi[b] - phi[mul(a, b)]) % 1 != 0:
                     raise ValueError("phi is not a homomorphism")
         return TwistedSubgroup(members, tuple(sorted(phi.items())), l)
 
@@ -61,11 +61,13 @@ class TwistedSubgroup:
 
 def _commutator_subgroup(group, gens) -> frozenset:
     """[K, K] for K = <gens>: the normal closure of the generators' commutators."""
-    tab, inv = group.table, group.inverse
-    comm = group.closure({tab[tab[inv[a]][inv[b]]][tab[a][b]] for a in gens for b in gens})
-    while extra := {group.conj(x, c) for x in gens for c in comm} - comm:
-        comm = group.closure(extra, base=comm)
-    return comm
+    mul, inv = group.mul, group.inv
+    seeds = list({mul(group.conj(inv(a), inv(b)), b) for a in gens for b in gens})
+    comm = generated(seeds, mul, [group.identity])
+    while extra := {group.conj(x, c) for x in gens for c in comm}.difference(comm):
+        seeds += extra
+        comm = generated(seeds, mul, comm)
+    return frozenset(comm)
 
 
 def _circle_homs(group, members):
@@ -77,31 +79,32 @@ def _circle_homs(group, members):
     the least o with a_i^o in B_{i-1}.  A homomorphism on B_{i-1} extends to
     B_i once phi(a_i) = t solves o_i t = phi(a_i^o_i); with turns as
     integers mod q (the lcm of the a_i's orders, which o_i divides) that
-    equation has o_i solutions.  Each homomorphism is one pass over K.
+    equation has o_i solutions.  Each level lists its cosets' elements once,
+    as (a_i^e b, e, b) for b in B_{i-1}: they make B_i, and phi extends by
+    phi(a_i^e b) = e t + phi(b).
     """
-    tab = group.table
+    mul = group.mul
     comm = _commutator_subgroup(group, group.generators(sorted(members)))
-    chain, levels = comm, []  # levels: (powers a_i^0..a_i^(o_i - 1), a_i^o_i)
+    chain, levels = comm, []  # levels: (a_i, triples, a_i^o_i, o_i)
     for x in sorted(members):
         if x not in chain:
             powers, y = [group.identity], x
             while y not in chain:
                 powers.append(y)
-                y = tab[y][x]
-            levels.append((powers, y))
-            chain = {tab[p][b] for p in powers for b in chain}
-    q = math.lcm(*(group.element_order(powers[1]) for powers, _ in levels))
+                y = mul(y, x)
+            triples = [(mul(p, b), e, b) for e, p in enumerate(powers) for b in chain]
+            levels.append((x, triples, y, len(powers)))
+            chain = {p for p, _, _ in triples}
+    q = math.lcm(*(group.element_order(x) for x, *_ in levels))
     homs = [dict.fromkeys(comm, 0)]
-    for powers, top in levels:
-        o = len(powers)
+    for _, triples, top, o in levels:
         grown = []
         for phi in homs:
             base, r = divmod(phi[top], o)
             if r:
                 raise ExactnessError(f"{o} * t = {phi[top]} has no solution mod {q}")
             for t in range(base, q, q // o):
-                grown.append({tab[p][b]: (u + e * t) % q
-                              for e, p in enumerate(powers) for b, u in phi.items()})
+                grown.append({p: (phi[b] + e * t) % q for p, e, b in triples})
         homs = grown
     return q, homs
 
@@ -181,6 +184,7 @@ class TwistedContext:
                 orbit = self._orbit(own)
                 seen.update(orbit)
                 found[min(orbit)] = (kclass, orbit)
+        kmasks = {}  # K tuple -> K mask, shared by every phi on K
         for key in sorted(found, key=lambda key: (-len(key[0]), key)):
             kclass, orbit = found[key]
             # orbit-stabilizer: the phi-preserving normalizer has order |G| / |orbit|
@@ -190,10 +194,11 @@ class TwistedContext:
             self._class_ids[key] = len(self._classes)
             self._classes.append(key)
             self._kclass.append(kclass)
-            self._conjugates.append([
-                (sum(1 << k for k in elems), self._graph(elems, turns))
-                for elems, turns in orbit
-            ])
+            for elems, _ in orbit:
+                if elems not in kmasks:
+                    kmasks[elems] = sum(1 << k for k in elems)
+            self._conjugates.append([(kmasks[elems], self._graph(elems, turns))
+                                     for elems, turns in orbit])
             self._weyl.append(stab // len(key[0]))
 
     def _graph(self, elems, turns) -> int:

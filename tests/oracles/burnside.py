@@ -10,7 +10,7 @@ from functools import partial
 from ringwaves.burnside import BurnsideElement, bilinear
 from ringwaves.groups import SubgroupClassLattice
 
-from oracles.groups import conj_set
+from oracles.groups import cayley, conj_set
 
 
 def multiply_oracle(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
@@ -26,7 +26,8 @@ def multiply_oracle(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
 
 def orbit_count_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
     group = lat.group
-    tab, inv = group.table, group.inverse
+    oracle = cayley(group)
+    tab, inv = oracle.table, oracle.inverse
     hs = lat.reps[h].elems
     ks = lat.reps[k].elems
     hset = lat.reps[h].members
@@ -75,10 +76,11 @@ def orbit_count_product_pointwise(lat: SubgroupClassLattice, h: int, k: int) -> 
 
 
 def _cosets(group, sub_elems):
+    tab = cayley(group).table
     seen = set()
     reps = []
     for g in range(group.order):
-        coset = frozenset(group.table[g][s] for s in sub_elems)
+        coset = frozenset(tab[g][s] for s in sub_elems)
         if coset not in seen:
             seen.add(coset)
             reps.append(g)

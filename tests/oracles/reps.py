@@ -19,6 +19,8 @@ import numpy as np
 from ringwaves.groups import DihedralElement, GammaPrimeElement
 from ringwaves.reps import DihedralIrrep, DressedIrrep, GIrrep, generated_group
 
+from oracles.groups import inverse, product
+
 ONE_DIMENSIONAL = {
     "trivial": lambda rot, ref: 1,
     "sign": lambda rot, ref: -1 if ref else 1,
@@ -74,13 +76,13 @@ def closure_oracle(generators, limit: int):
     breadth-first dataclass products; None once it holds more than `limit`."""
     gens = [(t % 1, g) for t, g in generators]
     g0 = gens[0][1]
-    seen = {(Fraction(0), g0 * g0.inverse())}
+    seen = {(Fraction(0), product(g0, inverse(g0)))}
     frontier = list(seen)
     while frontier:
         grown = []
         for t, x in frontier:
             for u, g in gens:
-                y = ((t + u) % 1, x * g)
+                y = ((t + u) % 1, product(x, g))
                 if y not in seen:
                     seen.add(y)
                     grown.append(y)

@@ -1,4 +1,5 @@
-"""Twisted Weyl orders and module products by brute force in a finite quotient.
+"""Twisted Weyl orders and module products by brute force in a finite quotient,
+and the inflation of twisted types from a smaller ring.
 
 Each twisted orbit type is realized inside Z_Q x Gamma', with all turns on
 the common denominator Q; normalizers and orbit types are then counted
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 from ringwaves.errors import ExactnessError
 from ringwaves.twisted import TwistedContext, TwistedOrbitType, _circle_homs
+
+from oracles.groups import cayley
 
 
 def hom_to_circle(group, members) -> list[dict]:
@@ -52,7 +55,8 @@ def quotient_weyl_oracle(ctx: TwistedContext, t: TwistedOrbitType, q: int | None
     if q is None:
         q = _quotient_denominator(ctx, [t], extra=2)
     g = ctx.group
-    tab, inv = g.table, g.inverse
+    oracle = cayley(g)
+    tab, inv = oracle.table, oracle.inverse
     hbar = realize_in_quotient(ctx, t, q)
     # Z_q is central, so the normalizer is Z_q x {c : c conjugates hbar to itself}
     fixers = 0
@@ -84,7 +88,8 @@ def module_product_oracle(
     if q is None:
         q = _quotient_denominator(ctx, [h], extra=2)
     g = ctx.group
-    tab, inv = g.table, g.inverse
+    oracle = cayley(g)
+    tab, inv = oracle.table, oracle.inverse
     order = g.order * q
 
     def mul(a, b):
@@ -132,3 +137,18 @@ def _type_from_quotient_subgroup(ctx, iso, l: int, q: int) -> TwistedOrbitType:
     for z, k in iso:
         phi[k] = Fraction(z * l, q) % 1
     return ctx.type_of(members, phi, l)
+
+
+def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> TwistedOrbitType:
+    """Type over Gamma'_N of the preimage of a type t over Gamma'_{N/d}.
+
+    The quotient by the rotations g^(N/d) sends index h*N + r to
+    h*(N/d) + r mod N/d.  The preimage of the representative (K', phi', l) of
+    t is (pi^-1 K', phi' o pi, l), canonicalized in `ctx`.
+    """
+    n, m = ctx.group.n, small.group.n
+    if n % m:
+        raise ValueError(f"{m} does not divide {n}")
+    phi = small.representative(t).phi_dict()
+    pulled = {i: phi[p] for i in range(ctx.group.order) if (p := i // n * m + i % n % m) in phi}
+    return ctx.type_of(frozenset(pulled), pulled, t.l)

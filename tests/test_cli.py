@@ -680,18 +680,6 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     assert (tmp_path / "tables" / "burnside_products.csv").exists()
 
 
-def test_predict_makes_no_dataclass_group_products(monkeypatch, capsys):
-    # group arithmetic runs on integer indices; the element dataclasses are API only
-    from ringwaves.groups import DihedralElement, GammaPrimeElement
-
-    products = []
-    for cls in (GammaPrimeElement, DihedralElement):
-        monkeypatch.setattr(cls, "__mul__", lambda a, b: products.append((a, b)))
-    assert main(["predict", "--N", "7", "--m-max", "2", "--n-max", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["critical_points"]
-    assert products == []
-
-
 def test_no_module_imports_numpy_at_top_level():
     src = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
     found = []
@@ -724,6 +712,21 @@ def test_src_holds_no_oracle_and_the_exact_layers_never_load_numpy():
                       and "_lazy" in [n.module] + [a.name for a in n.names]]
     assert named == []
     assert [name for name in ringwaves.__all__ if "oracle" in name.lower()] == []
+
+
+def test_src_has_one_group_product():
+    # groups.mul_index is the product; the Cayley table and the dataclass
+    # products live in tests/oracles/groups.py, where they check it
+    from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime
+
+    assert "__mul__" not in vars(DihedralElement) and "__mul__" not in vars(GammaPrimeElement)
+    assert "inverse" not in vars(GammaPrimeElement)
+    group = gamma_prime(5)
+    assert [a for a in ("table", "inverse", "index") if hasattr(group, a)] == []
+    src = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
+    reads = [(path.name, key) for path in sorted(src.glob("*.py"))
+             for key in (".table[", ".inverse[") if key in path.read_text()]
+    assert reads == []
 
 
 def test_concurrent_first_numpy_use_matches_serial():

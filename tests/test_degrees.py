@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,11 @@ from ringwaves.degrees import (
     twisted_fixed_dim,
 )
 from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
-from ringwaves.reps import DressedIrrep, GIrrep, character_table
+from ringwaves.reps import DressedIrrep, GIrrep, character_table, isotypic_irreps
 from ringwaves.twisted import fold, twisted_context
 
 from oracles.burnside import multiply_oracle
-from oracles.twisted import quotient_weyl_oracle
+from oracles.twisted import inflate, quotient_weyl_oracle
 
 
 def test_basic_degree_sign_rep_d3():
@@ -150,3 +152,27 @@ def test_isotropy_types_have_positive_dims(ctx3):
     # every maximal kind is an isotropy type
     mk = set(maximal_kind_types(rep, ctx3))
     assert mk <= {t for t, _ in iso}
+
+
+# V_j of D_N is pulled back from V_{j/d} of D_{N/d}, d = gcd(N, j): both send
+# the rotation to exp(2 pi i j / N), so every isotropy holds the kernel <g^(N/d)>
+INFLATION_POINTS = [
+    (N, j, bit, m)
+    for N in (6, 8, 9, 10, 12)
+    for j in range(1, N // 2 + 1)
+    if math.gcd(N, j) > 1 and N // math.gcd(N, j) >= 3
+    for bit in (0, 1)
+    for m in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("N, j, bit, m", INFLATION_POINTS)
+def test_twisted_basic_degree_is_inflated_from_the_quotient_ring(N, j, bit, m):
+    d = math.gcd(N, j)
+    ctx = twisted_context(gamma_prime_lattice(N))
+    small = twisted_context(gamma_prime_lattice(N // d))
+    quotient = twisted_basic_degree(GIrrep(m, DressedIrrep(isotypic_irreps(N // d)[j // d], bit)), small)
+    want = {inflate(ctx, small, t): c for t, c in quotient.coeffs}
+    assert len(want) == len(quotient.coeffs)
+    got = twisted_basic_degree(GIrrep(m, DressedIrrep(isotypic_irreps(N)[j], bit)), ctx)
+    assert got.as_dict() == want

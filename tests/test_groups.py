@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringwaves import groups
 from ringwaves.errors import SizeCapError
@@ -13,20 +15,19 @@ from ringwaves.groups import (
     gamma_prime,
     gamma_prime_element,
     gamma_prime_index,
-    mul_index,
 )
 
-from oracles.groups import conj_set, leq, subgroup_count_oracle
+from oracles.groups import conj_set, inverse, leq, product, subgroup_count_oracle
 
 
 def test_dihedral_orders_and_relations():
     d3 = dihedral_group(3)
     assert d3.order == 6
-    gamma = d3.index[DihedralElement(1, False, 3)]
-    kappa = d3.index[DihedralElement(0, True, 3)]
+    gamma = d3.elements.index(DihedralElement(1, False, 3))
+    kappa = d3.elements.index(DihedralElement(0, True, 3))
     # k g k = g^-1 = g^2
     kg = d3.mul(kappa, gamma)
-    assert d3.mul(kg, kappa) == d3.index[DihedralElement(2, False, 3)]
+    assert d3.elements[d3.mul(kg, kappa)] == DihedralElement(2, False, 3)
     assert d3.element_order(gamma) == 3
     assert d3.element_order(kappa) == 2
 
@@ -40,19 +41,18 @@ def test_dihedral_rejects_small_n():
 
 def test_gamma_squared_central_in_d4():
     d4 = dihedral_group(4)
-    g2 = d4.index[DihedralElement(2, False, 4)]
+    g2 = d4.elements.index(DihedralElement(2, False, 4))
     assert all(d4.mul(g2, x) == d4.mul(x, g2) for x in range(d4.order))
     # and gamma itself is not central
-    g1 = d4.index[DihedralElement(1, False, 4)]
+    g1 = d4.elements.index(DihedralElement(1, False, 4))
     assert any(d4.mul(g1, x) != d4.mul(x, g1) for x in range(d4.order))
 
 
 def test_gamma_prime_order_and_involutions():
     gp = gamma_prime(3)
     assert gp.order == 24
-    for el in gp.elements:
+    for idx, el in enumerate(gp.elements):
         if el.kappa1 == -1 and el.kappa2 == 1 and el.dihedral.rot == 0 and not el.dihedral.ref:
-            idx = gp.index[el]
             assert gp.mul(idx, idx) == gp.identity
 
 
@@ -68,26 +68,25 @@ def test_center_of_gamma_prime_d3():
 
 def test_cayley_rows_are_permutations():
     gp = gamma_prime(4)
-    for row in gp.table:
-        assert sorted(row) == list(range(gp.order))
+    for a in range(gp.order):
+        assert sorted(gp.mul(a, b) for b in range(gp.order)) == list(range(gp.order))
 
 
 @pytest.mark.parametrize("n", range(3, 31))
 def test_closed_form_tables_match_the_dataclass_product(n):
     # the group axioms, checked against the element dataclasses' own product
     for group in (dihedral_group(n), gamma_prime(n)):
-        els, tab, order = group.elements, group.table, group.order
-        assert order == len(set(els)) == len(tab) == len(group.inverse)
-        assert els[group.identity] == els[0] * els[0].inverse()
+        els, order = group.elements, group.order
+        assert order == len(set(els))
+        assert els[group.identity] == product(els[0], inverse(els[0]))
         for a in range(order):
-            row = tab[a]
-            assert sorted(row) == list(range(order))
-            assert tab[group.identity][a] == row[group.identity] == a
-            assert els[group.inverse[a]] == els[a].inverse()
-            assert row[group.inverse[a]] == group.identity
+            assert els[group.inv(a)] == inverse(els[a])
             for b in range(order):
-                assert els[row[b]] == els[a] * els[b]
-                assert mul_index(a, b, n) == row[b]
+                assert els[group.mul(a, b)] == product(els[a], els[b])
+            power, k = els[a], 1
+            while power != els[group.identity]:
+                power, k = product(power, els[a]), k + 1
+            assert group.element_order(a) == k
         # gamma and kappa, with the central sign factors, generate the group
         want = [DihedralElement(1, False, n), DihedralElement(0, True, n)]
         if order == 8 * n:
@@ -96,12 +95,26 @@ def test_closed_form_tables_match_the_dataclass_product(n):
         rest = DihedralElement(0, False, n)
         signs = [i for i, x in enumerate(els) if getattr(x, "dihedral", x) == rest]
         assert len(signs) == order // (2 * n)
-        assert all(els[z] * e == e * els[z] for z in signs for e in els)
+        assert all(product(els[z], e) == product(e, els[z]) for z in signs for e in els)
         assert group.closure(group.conjugators, base=signs) == frozenset(range(order))
     gp = gamma_prime(n)
     for i, el in enumerate(gp.elements):
         assert gamma_prime_index(el) == i
         assert gamma_prime_element(i, n) == el
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 2000), st.booleans(), st.data())
+def test_closed_form_products_match_the_dataclass_product_at_large_n(n, signs, data):
+    # past the subgroup cap a group still builds: it holds no table
+    group = gamma_prime(n) if signs else dihedral_group(n)
+    els = group.elements
+    index = st.integers(0, group.order - 1)
+    for _ in range(20):
+        g, a, b = data.draw(st.tuples(index, index, index))
+        assert els[group.mul(a, b)] == product(els[a], els[b])
+        assert els[group.inv(a)] == inverse(els[a])
+        assert els[group.conj(g, a)] == product(product(els[g], els[a]), inverse(els[g]))
 
 
 def test_subgroup_enumeration_counts():
@@ -129,8 +142,8 @@ def test_size_cap():
 
 
 def test_lattice_cap_comes_before_the_cayley_table(monkeypatch):
-    # an order-16000 group has a 256-million-entry table: predict --N 2000 ran
-    # out of time and memory building it, and only then met the cap
+    # the cap comes before the group is built: predict --N 2000 once ran out
+    # of time and memory building a Cayley table, and only then met the cap
     monkeypatch.setattr(groups, "gamma_prime", None)
     monkeypatch.setattr(groups, "dihedral_group", None)
     with pytest.raises(SizeCapError):

@@ -11,6 +11,8 @@ homomorphisms through K^ab.  The oracles here find them by search instead:
 - the class oracle conjugates every subgroup by every element;
 - the orbit oracle builds the (K, phi)-classes with Fraction keys and
   conjugates by every element.
+Every product here comes from the Cayley table of the element dataclasses
+(`oracles.groups.cayley`), never from production's closed form.
 """
 
 from __future__ import annotations
@@ -31,29 +33,15 @@ from ringwaves.groups import (
 )
 from ringwaves.twisted import TwistedOrbitType, twisted_context
 
+from oracles.groups import cayley
 from oracles.twisted import hom_to_circle
-
-
-def _closure(group, gens):
-    """Element indices generated by `gens`, by breadth-first search."""
-    seen = {group.identity}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = group.table[a][g]
-                if c not in seen:
-                    seen.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(seen)
 
 
 def member_union_subgroups(group):
     """Subgroup element tuples by cyclic extension over all members."""
-    trivial = frozenset({group.identity})
-    cyclics = {_closure(group, [g]) for g in range(group.order)} - {trivial}
+    tab = cayley(group)
+    trivial = frozenset({tab.identity})
+    cyclics = {tab.closure([g]) for g in range(group.order)} - {trivial}
     cyclics = sorted(cyclics, key=lambda s: (len(s), sorted(s)))
     subs = {trivial, *cyclics}
     frontier = list(cyclics)
@@ -66,7 +54,7 @@ def member_union_subgroups(group):
                 if c <= h or union in seen_unions:
                     continue
                 seen_unions.add(union)
-                k = _closure(group, sorted(union))
+                k = tab.closure(sorted(union))
                 if k not in subs:
                     subs.add(k)
                     new.append(k)
@@ -88,7 +76,8 @@ def cyclic_extension_subgroups(group):
     cosets of H.  Complete because every subgroup is reached from any
     maximal chain of subgroups below it.
     """
-    tab = group.table
+    oracle = cayley(group)
+    tab, identity = oracle.table, oracle.identity
     bits = [1 << i for i in range(group.order)]
 
     def close(gens, base):
@@ -99,10 +88,10 @@ def cyclic_extension_subgroups(group):
 
     found = {}  # subgroup mask -> (generator tuple, members with identity first)
     for g in range(group.order):
-        members = close([g], [group.identity])
+        members = close([g], [identity])
         found.setdefault(mask(members), ((g,), members))
-    trivial = bits[group.identity]
-    found[trivial] = ((), [group.identity])
+    trivial = bits[identity]
+    found[trivial] = ((), [identity])
     cyclics = sorted(
         (c for c in found if c != trivial), key=lambda c: (len(found[c][1]), sorted(found[c][1]))
     )
@@ -139,10 +128,11 @@ def element_conjugation_classes(group, subgroups):
     representative is the least conjugate, |W(H)| = |G| / |class| / |H|,
     and n(H, K) counts the conjugates of K that contain H.
     """
+    conj = cayley(group).conj
     ids = {frozenset(s): i for i, s in enumerate(subgroups)}
     classes = {}
     for s in subgroups:
-        orbit = {frozenset(group.conj(g, h) for h in s) for g in range(group.order)}
+        orbit = {frozenset(conj(g, h) for h in s) for g in range(group.order)}
         classes[min(tuple(sorted(m)) for m in orbit)] = orbit
     reps = sorted(classes, key=lambda r: (-len(r), r))
     assert sum(len(o) for o in classes.values()) == len(ids)
@@ -161,19 +151,20 @@ def candidate_closure_homs(group, members):
     subgroup of Z_q x K they generate has |K| elements: it is then the graph
     of phi.
     """
-    gens = group.generators(sorted(members))
+    oracle = cayley(group)
+    gens = oracle.generators(sorted(members))
     if not gens:  # trivial subgroup
-        return [{group.identity: Fraction(0)}]
-    orders = [group.element_order(g) for g in gens]
+        return [{oracle.identity: Fraction(0)}]
+    orders = [oracle.element_order(g) for g in gens]
     q = math.lcm(*orders)
-    tab = group.table
+    tab = oracle.table
 
     def mul(a, b):
         return ((a[0] + b[0]) % q, tab[a[1]][b[1]])
 
     homs = []
     for values in itertools.product(*(range(0, q, q // o) for o in orders)):
-        graph = generated(list(zip(values, gens)), mul, [(0, group.identity)], limit=len(members))
+        graph = generated(list(zip(values, gens)), mul, [(0, oracle.identity)], limit=len(members))
         if graph is not None:
             homs.append({k: Fraction(t, q) for t, k in graph})
     return homs
@@ -211,19 +202,21 @@ def fraction_orbit_classes(lattice):
     descending |K|, then key, and the Weyl order is |G| / |orbit| / |K|.
     """
     group = lattice.group
+    oracle = cayley(group)
     found = {}
     for kclass, rep in enumerate(lattice.reps):
         homs = hom_to_circle(group, rep.elems)
-        commutators = [group.mul(group.conj(a, b), group.inv(b)) for a in rep.elems for b in rep.elems]
+        commutators = [oracle.table[oracle.conj(a, b)][oracle.inverse[b]]
+                       for a in rep.elems for b in rep.elems]
         # Hom(K, S^1) is the dual of the abelianization K / [K, K]
-        assert len(homs) == rep.order // len(_closure(group, sorted(set(commutators))))
+        assert len(homs) == rep.order // len(oracle.closure(sorted(set(commutators))))
         seen = set()
         for phi in homs:
             if (rep.elems, tuple(phi[k] for k in rep.elems)) in seen:
                 continue
             orbit = set()
             for c in range(group.order):
-                pairs = {group.conj(c, k): t for k, t in phi.items()}
+                pairs = {oracle.conj(c, k): t for k, t in phi.items()}
                 orbit.add((tuple(sorted(pairs)), tuple(pairs[k] for k in sorted(pairs))))
             seen |= orbit
             found[min(orbit)] = (kclass, len(orbit))
@@ -245,12 +238,12 @@ def test_twisted_classes_match_fraction_orbit_build(n):
 
 
 def test_subconjugation_counts_match_fraction_orbits(lat3, ctx3):
-    els, index = lat3.group.elements, lat3.group.index
+    conj = cayley(lat3.group).conj
 
     def conjugates(kphi):
         rep = ctx3.representative(TwistedOrbitType(kphi, 1))
         return {
-            frozenset((index[c * els[k] * c.inverse()], t) for k, t in rep.phi) for c in els
+            frozenset((conj(c, k), t) for k, t in rep.phi) for c in range(lat3.group.order)
         }
 
     orbits = [conjugates(kphi) for kphi in range(ctx3.n_types)]

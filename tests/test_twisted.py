@@ -29,7 +29,7 @@ from oracles.twisted import (
 
 def reflection_subgroup(lat, rot):
     g = lat.group
-    refl = g.index[GammaPrimeElement(1, 1, DihedralElement(rot, True, 3))]
+    refl = g.elements.index(GammaPrimeElement(1, 1, DihedralElement(rot, True, 3)))
     return frozenset({g.identity, refl}), refl
 
 
