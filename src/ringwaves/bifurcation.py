@@ -235,16 +235,12 @@ def _signed_degree_sum(sets: IndexSets, params: ModelParams, point, ctx: Twisted
 
 
 def local_invariant(
-    point,
-    params: ModelParams,
-    lattice: SubgroupClassLattice,
-    m_max: int = 10,
-    n_max: int = 10,
+    point, params: ModelParams, lattice: SubgroupClassLattice
 ) -> BifurcationInvariant:
     """Full-mode invariant: negative-spectrum Burnside factor acting on the
     signed sum of twisted basic degrees over the vanishing modes."""
     alpha, beta = point
-    sets = index_sets(alpha, beta, params, m_max, n_max, h_fixed=False)
+    sets = index_sets(alpha, beta, params, h_fixed=False)
     if not sets.b1_ok:
         raise DegenerateParameterError(
             f"stationary eigenvalue vanishes at {sets.b1_violations}; "
@@ -265,15 +261,11 @@ def local_invariant(
 
 
 def h_fixed_invariant(
-    point,
-    params: ModelParams,
-    lattice: SubgroupClassLattice,
-    m_max: int = 10,
-    n_max: int = 10,
+    point, params: ModelParams, lattice: SubgroupClassLattice
 ) -> BifurcationInvariant:
     """Anti-periodic-mode invariant: odd foldings only, no stationary factor."""
     alpha, beta = point
-    sets = index_sets(alpha, beta, params, m_max, n_max, h_fixed=True)
+    sets = index_sets(alpha, beta, params, h_fixed=True)
     total, contribs = _signed_degree_sum(sets, params, point, twisted_context(lattice))
     return BifurcationInvariant(
         value=total, contributions=contribs, sigma_minus_factor=None, sets=sets
@@ -312,9 +304,7 @@ def predict_branches(
     invariants = {}
     slice_signs: dict = {}
     for cp in points:
-        inv = h_fixed_invariant(
-            (cp.alpha, cp.beta), params, lattice, m_max=m_max, n_max=n_max
-        )
+        inv = h_fixed_invariant((cp.alpha, cp.beta), params, lattice)
         invariants[cp] = inv
         for quad, sign in inv.contributions:
             slice_signs.setdefault(quad.m, set()).add(sign)

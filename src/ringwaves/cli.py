@@ -263,7 +263,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
         point = (cfg.alpha, cfg.beta)
     lattice = gamma_prime_lattice(params.N)
     fn = local_invariant if cfg.mode == "full" else h_fixed_invariant
-    inv = fn(point, params, lattice, m_max=cfg.m_max, n_max=cfg.n_max)
+    inv = fn(point, params, lattice)
     ctx = twisted_context(lattice)
     _emit(
         {
@@ -457,8 +457,21 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+_FLAG_TYPES = {"int": int, "float": float}  # other flags keep their string
+
+# the flags with a help text; the others show only their name
+_HELP = {
+    "nu": 'wave frequency as a rational "p/q"',
+    "delta": "damping coefficient",
+    "tau": "feedback delay",
+    "N": "number of strings (>= 3)",
+    "zeta": "coupling curve",
+}
+
+
 @functools.cache  # each add_argument queries the terminal size; build once per process
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per RunConfig field, --m-max for m_max; list fields are config-only."""
     parser = _Parser(
         prog="ringwaves",
         description="Symmetry-certified bifurcation predictions for a ring of "
@@ -466,28 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--nu", help='wave frequency as a rational "p/q"')
-    parser.add_argument("--delta", type=float, help="damping coefficient")
-    parser.add_argument("--tau", type=float, help="feedback delay")
-    parser.add_argument("--N", type=int, help="number of strings (>= 3)")
-    parser.add_argument("--zeta", choices=CHOICES["zeta"], help="coupling curve")
-    parser.add_argument("--m-max", dest="m_max", type=int)
-    parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--mode", choices=CHOICES["mode"])
-    parser.add_argument("--prediction-mode", dest="prediction_mode", choices=CHOICES["prediction_mode"])
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--j", type=int)
-    parser.add_argument("--kind", choices=CHOICES["kind"])
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--grid-t", dest="grid_t", type=int)
-    parser.add_argument("--grid-x", dest="grid_x", type=int)
-    parser.add_argument("--ring-radius", dest="ring_radius", type=float)
-    parser.add_argument("--ring-points", dest="ring_points", type=int)
-    parser.add_argument("--characters", action="store_const", const=True)
-    parser.add_argument("--symmetry-tol", dest="symmetry_tol", type=float)
-    parser.add_argument("--out")
+    for field in dataclasses.fields(RunConfig):
+        kind = field.type.split(" | ")[0]
+        if kind == "list":
+            continue
+        if kind == "bool":
+            how = {"action": "store_const", "const": True}
+        else:
+            how = {"type": _FLAG_TYPES.get(kind), "choices": CHOICES.get(field.name)}
+        parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                            help=_HELP.get(field.name), **how)
     return parser
 
 

@@ -164,11 +164,6 @@ class FiniteGroup:
         k = self.n // math.gcd(self.n, r)  # the rotation's order
         return k if h == 0 or k % 2 == 0 else 2 * k  # a sign factor has order 2
 
-    def closure(self, seed, base=None) -> frozenset:
-        """Subgroup generated by the subgroup `base` and the indices in `seed`."""
-        base = [self.identity] + sorted(set(base or ()) - {self.identity})
-        return frozenset(generated(list(seed) + base, self.mul, base))
-
     def generators(self, members) -> list:
         """Greedy generating set: each member not generated by earlier picks."""
         gens, have = [], [self.identity]

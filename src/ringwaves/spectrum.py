@@ -218,6 +218,8 @@ def critical_point(m: int, n: int, j: int, k: int, params: ModelParams):
     """
     if m < 1:
         raise ValueError("critical points need temporal index m >= 1")
+    if n < 1:
+        raise ValueError("critical points need transverse index n >= 1")
     s = _sin_m_tau(m, params)
     beta0 = params.delta * m / s
     nu2 = float(params.nu) ** 2
@@ -257,10 +259,8 @@ class IndexSets:
 
     sigma0: tuple  # IndexQuads with m >= 1 (odd only in h_fixed mode)
     sigma_minus: tuple  # (n, j, k) triples at m = 0
-    sigma_s: dict  # folding -> tuple of (n, j, k)
     b1_ok: bool
     b1_violations: tuple
-    window_exceeded: tuple  # members of sigma0 outside the requested window
 
 
 def _m_search_bound(beta: float, params: ModelParams) -> int:
@@ -273,23 +273,14 @@ def _m_search_bound(beta: float, params: ModelParams) -> int:
     return int(bound)
 
 
-def index_sets(
-    alpha: float,
-    beta: float,
-    params: ModelParams,
-    m_max: int,
-    n_max: int,
-    h_fixed: bool = False,
-) -> IndexSets:
+def index_sets(alpha: float, beta: float, params: ModelParams, h_fixed: bool = False) -> IndexSets:
     """Enumerate the vanishing and negative modes at (alpha, beta).
 
-    The search is complete regardless of the requested window: temporal
-    indices are scanned up to the hard bound |beta|/delta and transverse
-    indices up to the bound forced by the real part, so any member outside
-    (m_max, n_max) is still found and reported in `window_exceeded`.
+    The search needs no window: temporal indices are scanned up to the hard
+    bound |beta|/delta and transverse indices up to the bound forced by the
+    real part, so every vanishing mode is found.
     """
     sigma0 = []
-    exceeded = []
     m_bound = max(_m_search_bound(beta, params), 0)
     nu2 = float(params.nu) ** 2
     zeta_val = params.zeta.evaluate(alpha)
@@ -310,10 +301,7 @@ def index_sets(
                 val = mu(m, cand, j, k, alpha, beta, params)
                 if abs(val) <= MU_ZERO_TOL:
                     sigma0.append(q)
-                    if m > m_max or cand > n_max:
-                        exceeded.append(q)
     sigma0 = tuple(sorted(set(sigma0)))
-    exceeded = tuple(sorted(set(exceeded)))
 
     sigma_minus = []
     b1_violations = []
@@ -332,18 +320,11 @@ def index_sets(
     sigma_minus = tuple(sorted(sigma_minus))
     b1_violations = tuple(sorted(b1_violations))
 
-    sigma_s: dict = {}
-    for quad in sigma0:
-        sigma_s.setdefault(quad.m, []).append((quad.n, quad.j, quad.k))
-    sigma_s = {s: tuple(v) for s, v in sorted(sigma_s.items())}
-
     return IndexSets(
         sigma0=sigma0,
         sigma_minus=sigma_minus,
-        sigma_s=sigma_s,
         b1_ok=not b1_violations,
         b1_violations=b1_violations,
-        window_exceeded=exceeded,
     )
 
 

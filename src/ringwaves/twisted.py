@@ -127,8 +127,7 @@ class TwistedContext:
         self.denominator = math.lcm(g.n, 2)  # the exponent of D_N and of Z2 x Z2 x D_N
         self._classes = []  # canonical keys: (K tuple, turn tuple)
         self._class_ids = {}
-        # per class, one (K mask, graph mask) per conjugate (K', phi'): K mask
-        # has bit k for k in K', graph mask bit k*L + phi'(k)
+        # per class, one graph mask per conjugate (K', phi'): bit k*L + phi'(k)
         self._conjugates = []
         self._weyl = []
         self._kclass = []  # lattice class id of K
@@ -184,7 +183,6 @@ class TwistedContext:
                 orbit = self._orbit(own)
                 seen.update(orbit)
                 found[min(orbit)] = (kclass, orbit)
-        kmasks = {}  # K tuple -> K mask, shared by every phi on K
         for key in sorted(found, key=lambda key: (-len(key[0]), key)):
             kclass, orbit = found[key]
             # orbit-stabilizer: the phi-preserving normalizer has order |G| / |orbit|
@@ -194,11 +192,7 @@ class TwistedContext:
             self._class_ids[key] = len(self._classes)
             self._classes.append(key)
             self._kclass.append(kclass)
-            for elems, _ in orbit:
-                if elems not in kmasks:
-                    kmasks[elems] = sum(1 << k for k in elems)
-            self._conjugates.append([(kmasks[elems], self._graph(elems, turns))
-                                     for elems, turns in orbit])
+            self._conjugates.append([self._graph(elems, turns) for elems, turns in orbit])
             self._weyl.append(stab // len(key[0]))
 
     def _graph(self, elems, turns) -> int:
@@ -225,43 +219,36 @@ class TwistedContext:
         phi = tuple((k, Fraction(u, self.denominator)) for k, u in zip(elems, turns))
         return TwistedSubgroup(frozenset(elems), phi, t.l)
 
-    def k_class(self, t) -> int:
-        kphi = t.kphi if isinstance(t, TwistedOrbitType) else t
+    def k_class(self, kphi: int) -> int:
         return self._kclass[kphi]
 
-    def weyl_t(self, t) -> int:
+    def weyl_t(self, t: TwistedOrbitType) -> int:
         """|W(H)/S^1|: order of the phi-preserving normalizer modulo K."""
-        kphi = t.kphi if isinstance(t, TwistedOrbitType) else t
-        return self._weyl[kphi]
+        return self._weyl[t.kphi]
 
     def n_t(self, h: TwistedOrbitType, l_type: TwistedOrbitType) -> int:
         """n(H, L): conjugates of L containing H; (H) <= (L) iff it is > 0."""
-        if h.l == 0:
-            if l_type.l != 0:
-                return 0
-            return self._n_power_phase(h.kphi, l_type.kphi, 0)
         if l_type.l == 0:
-            # K^{phi,l} <= S^1 x K' iff K <= K'
-            return self._n_power_phase(h.kphi, l_type.kphi, 0)
-        if l_type.l % h.l:
+            # K^{phi,l} <= S^1 x K' iff K <= K'.  The conjugates of (K', phi')
+            # map onto the class of K' with equal fibres, so each conjugate of
+            # K' containing K carries the same number of them
+            kh, kl = self._kclass[h.kphi], self._kclass[l_type.kphi]
+            fibre, r = divmod(len(self._conjugates[l_type.kphi]), len(self.lattice.classes[kl]))
+            if r:
+                raise ExactnessError("conjugates of (K, phi) do not cover the class of K evenly")
+            return self.lattice.n_table[kh][kl] * fibre
+        if h.l == 0 or l_type.l % h.l:
             return 0
         return self._n_power_phase(h.kphi, l_type.kphi, l_type.l // h.l)
 
     def _n_power_phase(self, kphi1: int, kphi2: int, power: int) -> int:
-        """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1.
-
-        Power 0 counts K1 <= K' alone (a product type on either side).
-        """
+        """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1."""
         got = self._n_cache.get((kphi1, kphi2, power))
         if got is not None:
             return got
         elems, turns = self._classes[kphi1]
-        if power:
-            want = self._graph(elems, [t * power % self.denominator for t in turns])
-            count = sum(1 for _, graph in self._conjugates[kphi2] if graph & want == want)
-        else:
-            want = sum(1 << k for k in elems)
-            count = sum(1 for kmask, _ in self._conjugates[kphi2] if kmask & want == want)
+        want = self._graph(elems, [t * power % self.denominator for t in turns])
+        count = sum(1 for graph in self._conjugates[kphi2] if graph & want == want)
         self._n_cache[(kphi1, kphi2, power)] = count
         return count
 

@@ -3,13 +3,15 @@ and the inflation of twisted types from a smaller ring.
 
 Each twisted orbit type is realized inside Z_Q x Gamma', with all turns on
 the common denominator Q; normalizers and orbit types are then counted
-there directly.  Independent of the recurrences in `ringwaves.twisted`.
+there directly.  Product-type subconjugation counts compare K bit masks of
+every conjugate.  Independent of the recurrences in `ringwaves.twisted`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from ringwaves.errors import ExactnessError
 from ringwaves.twisted import TwistedContext, TwistedOrbitType, _circle_homs
@@ -137,6 +139,26 @@ def _type_from_quotient_subgroup(ctx, iso, l: int, q: int) -> TwistedOrbitType:
     for z, k in iso:
         phi[k] = Fraction(z * l, q) % 1
     return ctx.type_of(members, phi, l)
+
+
+@lru_cache(maxsize=None)
+def _conjugate_kmasks(ctx: TwistedContext, kphi: int) -> list:
+    """One bit mask of K' per conjugate (K', phi') of the class kphi, the
+    conjugates found by conjugating with every element."""
+    conj = cayley(ctx.group).conj
+    elems, turns = ctx._classes[kphi]
+    conjugates = {frozenset((conj(c, k), t) for k, t in zip(elems, turns))
+                  for c in range(ctx.group.order)}
+    return [sum(1 << k for k, _ in pairs) for pairs in conjugates]
+
+
+def product_count_oracle(ctx: TwistedContext, h: TwistedOrbitType, l_type: TwistedOrbitType) -> int:
+    """n(H, S^1 x K') for a product type l_type: the conjugates (K', phi') of
+    its class whose K' holds the K of H, whatever H's phi and folding."""
+    if l_type.l:
+        raise ValueError("l_type must be a product type")
+    want = sum(1 << k for k in ctx._classes[h.kphi][0])
+    return sum(1 for mask in _conjugate_kmasks(ctx, l_type.kphi) if mask & want == want)
 
 
 def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> TwistedOrbitType:

@@ -45,7 +45,7 @@ def test_folding_data_examples():
 
 def test_h_fixed_invariant_example_point(params, lat3, ctx3):
     cp = critical_point(1, 1, 0, 1, params)
-    inv = h_fixed_invariant(cp, params, lat3, 5, 5)
+    inv = h_fixed_invariant(cp, params, lat3)
     assert inv.contributions == ((IndexQuad(1, 1, 0, 1), -1),)
     assert inv.sigma_minus_factor is None
     rep = GIrrep(1, DressedIrrep(isotypic_irreps(3)[0], dressing_bit(1)))
@@ -54,20 +54,20 @@ def test_h_fixed_invariant_example_point(params, lat3, ctx3):
 
 def test_full_invariant_matches_h_fixed_at_example(params, lat3):
     cp = critical_point(1, 1, 0, 1, params)
-    inv_full = local_invariant(cp, params, lat3, 5, 5)
-    inv_h = h_fixed_invariant(cp, params, lat3, 5, 5)
+    inv_full = local_invariant(cp, params, lat3)
+    inv_h = h_fixed_invariant(cp, params, lat3)
     assert inv_full.value == inv_h.value  # sigma_minus empty, single odd mode
     assert inv_full.sigma_minus_factor == BurnsideElement.one(lat3)
 
 
 def test_invariant_zero_away_from_critical_set(params, lat3, ctx3):
-    inv = h_fixed_invariant((0.0, 0.2), params, lat3, 5, 5)
+    inv = h_fixed_invariant((0.0, 0.2), params, lat3)
     assert inv.value == TwistedSum.zero(ctx3)
 
 
 def test_full_invariant_with_negative_spectrum(params, lat3, ctx3):
     cp3 = critical_point(3, 4, 1, 1, params)
-    inv = local_invariant(cp3, params, lat3, 5, 5)
+    inv = local_invariant(cp3, params, lat3)
     assert len(inv.sets.sigma_minus) == 5
     factor = inv.sigma_minus_factor
     # the factor squares to the identity (product of involutions)
@@ -84,8 +84,8 @@ def test_full_invariant_refuses_on_b1_failure(lat3):
     alpha = 0.5
     beta = -1.0 - 0.5  # n = 1, j = 0 block vanishes
     with pytest.raises(DegenerateParameterError):
-        local_invariant((alpha, beta), p, lat3, 3, 3)
-    inv = h_fixed_invariant((alpha, beta), p, lat3, 3, 3)  # still available
+        local_invariant((alpha, beta), p, lat3)
+    inv = h_fixed_invariant((alpha, beta), p, lat3)  # still available
     assert inv.sigma_minus_factor is None
 
 
@@ -94,7 +94,7 @@ def test_h_fixed_support_only_odd_foldings(params, lat3):
         cp = critical_point(quad[0], quad[1], quad[2], 1, params)
         if cp is None:
             continue
-        inv = h_fixed_invariant(cp, params, lat3, 6, 6)
+        inv = h_fixed_invariant(cp, params, lat3)
         assert all(t.l % 2 == 1 for t in inv.value.support())
 
 
@@ -247,7 +247,7 @@ def test_h_fixed_zero_at_even_only_point(params, lat3, ctx3):
     # nothing in the anti-periodic reduction
     cp2 = critical_point(2, 1, 1, 1, params)
     assert cp2 is not None
-    inv = h_fixed_invariant(cp2, params, lat3, 5, 5)
+    inv = h_fixed_invariant(cp2, params, lat3)
     assert inv.value == TwistedSum.zero(ctx3)
     assert inv.contributions == ()
 
@@ -260,7 +260,7 @@ def test_concurrent_calls_agree_and_leave_structures_unchanged(params):
 
     def work(_):
         report = predict_branches(params, 3, 3)
-        inv = local_invariant(cp, params, lattice, 5, 5)
+        inv = local_invariant(cp, params, lattice)
         return prediction_report_json(params, 3, 3, report), inv
 
     interval = sys.getswitchinterval()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -365,13 +366,16 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 10**400, 1]]}),
         ([], {"zeta": "table", "zeta_table": [[0, 0], [1, 10**400]]}),
         ([], {"alpha": 10**400, "beta": 1.0}),
+        (["invariant", "--N", "3", "--m", "1", "--n", "0", "--j", "0", "--nu", "1/10"], None),
+        (["invariant", "--N", "3", "--m", "1", "--n", "-1", "--j", "0", "--nu", "1/10"], None),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
          "config-beta-inf", "table-slope-overflow", "table-step-overflow", "table-repeated-alpha",
          "export-values-cap", "verify-values-cap", "eigendata-repeated-index",
          "eigendata-multiplicity-above-N", "eigendata-z-nan", "eigendata-z-negative",
-         "eigendata-z-inf", "eigendata-z-huge-int", "table-huge-int", "config-alpha-huge-int"],
+         "eigendata-z-inf", "eigendata-z-huge-int", "table-huge-int", "config-alpha-huge-int",
+         "invariant-n-zero", "invariant-n-negative"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -416,6 +420,27 @@ def _readme_commands():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```")[1]
     return [line.split()[1:] for line in block.splitlines() if line.startswith("ringwaves ")]
+
+
+def test_parser_has_one_flag_per_config_field():
+    # every flag but --config sets the RunConfig field of its name; the list
+    # fields are config-only
+    flags = {a.option_strings[0]: a for a in cli.build_parser()._actions
+             if a.option_strings and a.dest != "help"}
+    assert flags.pop("--config").dest == "config"
+    fields = dataclasses.fields(cli.RunConfig)
+    assert {f.name for f in fields} - {a.dest for a in flags.values()} == {"zeta_table",
+                                                                          "eigendata"}
+    fields = [f for f in fields if f.name not in ("zeta_table", "eigendata")]
+    assert sorted(flags) == sorted("--" + f.name.replace("_", "-") for f in fields)
+    types = {"int": int, "int | None": int, "float": float, "float | None": float}
+    for f in fields:
+        action = flags["--" + f.name.replace("_", "-")]
+        assert action.option_strings == ["--" + f.name.replace("_", "-")]
+        assert action.dest == f.name
+        assert action.type is types.get(f.type)
+        assert action.choices == cli.CHOICES.get(f.name)
+        assert (action.nargs, action.const) == ((0, True) if f.type == "bool" else (None, None))
 
 
 def test_reused_parser_gives_identical_runs(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwaves import reps
-from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime
+from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime, generated
 from ringwaves.reps import generated_group
 
 from oracles.groups import cayley, inverse, product
@@ -90,7 +90,7 @@ subgroup_seeds = rings.flatmap(
 def test_hom_to_circle_gives_distinct_homomorphisms(case):
     N, seed = case
     group = _group(N)
-    members = group.closure(seed)
+    members = frozenset(generated(seed, group.mul, [group.identity]))
     homs = hom_to_circle(group, members)
     assert homs
     assert len({tuple(sorted(phi.items())) for phi in homs}) == len(homs)

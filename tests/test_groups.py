@@ -15,6 +15,7 @@ from ringwaves.groups import (
     gamma_prime,
     gamma_prime_element,
     gamma_prime_index,
+    generated,
 )
 
 from oracles.groups import conj_set, inverse, leq, product, subgroup_count_oracle
@@ -96,7 +97,7 @@ def test_closed_form_tables_match_the_dataclass_product(n):
         signs = [i for i, x in enumerate(els) if getattr(x, "dihedral", x) == rest]
         assert len(signs) == order // (2 * n)
         assert all(product(els[z], e) == product(e, els[z]) for z in signs for e in els)
-        assert group.closure(group.conjugators, base=signs) == frozenset(range(order))
+        assert frozenset(generated(group.conjugators, group.mul, signs)) == frozenset(range(order))
     gp = gamma_prime(n)
     for i, el in enumerate(gp.elements):
         assert gamma_prime_index(el) == i
@@ -132,7 +133,7 @@ def test_subgroup_enumeration_matches_exhaustive_oracle():
 
 def test_trivial_group_case():
     d3 = dihedral_group(3)
-    triv = d3.closure([])
+    triv = frozenset(generated([], d3.mul, [d3.identity]))
     assert triv == frozenset({d3.identity})
 
 

@@ -154,46 +154,44 @@ def test_winding_matches_rho(params):
 
 def test_index_sets_at_example_point(params):
     cp = critical_point(1, 1, 0, 1, params)
-    sets = index_sets(cp[0], cp[1], params, 5, 5)
+    sets = index_sets(cp[0], cp[1], params)
     assert sets.sigma0 == (IndexQuad(1, 1, 0, 1),)
     assert sets.sigma_minus == ()
     assert sets.b1_ok
-    assert sets.sigma_s == {1: ((1, 0, 1),)}
-    assert sets.window_exceeded == ()
 
 
 def test_index_sets_far_from_critical(params):
-    sets = index_sets(0.0, 0.2, params, 5, 5)
+    sets = index_sets(0.0, 0.2, params)
     assert sets.sigma0 == ()
 
 
 def test_sigma_minus_empty_for_positive_coupling_and_beta(params):
     # positive coupling plus positive feedback keeps the stationary block positive
-    sets = index_sets(1.3, 2.0, params, 4, 4)
+    sets = index_sets(1.3, 2.0, params)
     assert sets.sigma_minus == ()
 
 
 def test_sigma_minus_nonempty_with_negative_beta(params):
     cp3 = critical_point(3, 4, 1, 1, params)
-    sets = index_sets(cp3[0], cp3[1], params, 5, 5)
+    sets = index_sets(cp3[0], cp3[1], params)
     assert sets.sigma0 == (IndexQuad(3, 4, 1, 1),)
     assert len(sets.sigma_minus) == 5
     assert sets.b1_ok
 
 
 def test_index_sets_complete_beyond_window(params):
-    # a vanishing mode outside the requested window is still reported
+    # the search takes no window: it scans every m up to |beta| / delta, so
+    # the vanishing mode at m = 3, n = 4 is found
     cp3 = critical_point(3, 4, 1, 1, params)
-    sets = index_sets(cp3[0], cp3[1], params, 2, 2)
+    sets = index_sets(cp3[0], cp3[1], params)
     assert sets.sigma0 == (IndexQuad(3, 4, 1, 1),)
-    assert sets.window_exceeded == (IndexQuad(3, 4, 1, 1),)
 
 
 def test_h_fixed_filters_even_foldings(params):
     p = params
     cp2 = critical_point(2, 1, 0, 1, p)
     if cp2 is not None:
-        sets = index_sets(cp2[0], cp2[1], p, 5, 5, h_fixed=True)
+        sets = index_sets(cp2[0], cp2[1], p, h_fixed=True)
         assert all(q.m % 2 == 1 for q in sets.sigma0)
 
 
@@ -224,6 +222,6 @@ def test_repeated_eigenvalue_multiplicities_flow_through():
     cp1 = critical_point(1, 1, 1, 1, p)
     cp2 = critical_point(1, 1, 1, 2, p)
     assert cp1 == cp2  # equal eigenvalues give the same parameter pair
-    sets = index_sets(cp1[0], cp1[1], p, 3, 3)
+    sets = index_sets(cp1[0], cp1[1], p)
     assert IndexQuad(1, 1, 1, 1) in sets.sigma0
     assert IndexQuad(1, 1, 1, 2) in sets.sigma0

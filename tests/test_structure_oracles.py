@@ -232,7 +232,7 @@ def test_twisted_classes_match_fraction_orbit_build(n):
     for kphi in range(ctx.n_types):
         rep = ctx.representative(TwistedOrbitType(kphi, 1))
         key = (tuple(k for k, _ in rep.phi), tuple(t for _, t in rep.phi))
-        got.append((key, ctx.weyl_t(kphi), ctx.k_class(kphi)))
+        got.append((key, ctx.weyl_t(TwistedOrbitType(kphi, 1)), ctx.k_class(kphi)))
     assert got == fraction_orbit_classes(lattice)
     assert all(type(t) is int for _, turns in ctx._classes for t in turns)
 

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringwaves.burnside import BurnsideElement
 from ringwaves.degrees import maximal_kind_types
-from ringwaves.groups import DihedralElement, GammaPrimeElement
+from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime_lattice
 from ringwaves.reps import DressedIrrep, GIrrep, character_table
 from ringwaves.twisted import (
     TwistedOrbitType,
@@ -22,6 +24,7 @@ from ringwaves.twisted import (
 from oracles.twisted import (
     hom_to_circle,
     module_product_oracle,
+    product_count_oracle,
     quotient_weyl_oracle,
     realize_in_quotient,
 )
@@ -106,6 +109,28 @@ def test_distinct_maximal_types_incomparable(ctx3):
         for b in mk:
             if a != b:
                 assert ctx3.n_t(a, b) == 0
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_product_counts_match_k_mask_oracle(n):
+    # n(H, S^1 x K') reads the lattice's n(K, K') times the fibre of the
+    # conjugates of (K', phi') over those of K'; the oracle counts them one by one
+    ctx = twisted_context(gamma_prime_lattice(n))
+    for kphi2 in range(ctx.n_types):
+        l_type = TwistedOrbitType(kphi2, 0)
+        for kphi1 in range(ctx.n_types):
+            want = product_count_oracle(ctx, TwistedOrbitType(kphi1, 0), l_type)
+            assert ctx.n_t(TwistedOrbitType(kphi1, 0), l_type) == want
+            assert ctx.n_t(TwistedOrbitType(kphi1, 1), l_type) == want
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 898), st.integers(0, 898), st.integers(0, 4))
+def test_product_counts_match_k_mask_oracle_at_n8(kphi1, kphi2, fold):
+    ctx = twisted_context(gamma_prime_lattice(8))
+    assert ctx.n_types == 899
+    h, l_type = TwistedOrbitType(kphi1, fold), TwistedOrbitType(kphi2, 0)
+    assert ctx.n_t(h, l_type) == product_count_oracle(ctx, h, l_type)
 
 
 def test_module_identity_action(lat3, ctx3):
