@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement
 from .degrees import linear_iso_degree, twisted_basic_degree
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, ExactnessError
 from .groups import DihedralElement, GammaPrimeElement, SubgroupClassLattice, gamma_prime_lattice
 from .reps import DressedIrrep, GIrrep, circle_closure, dressing_bit, fixed_dim, isotypic_irreps
 from .spectrum import (
@@ -171,7 +171,7 @@ def maximal_orbit_generators(N: int, m: int, n: int, j: int) -> dict:
     rep = GIrrep(m, DressedIrrep(_irrep_for(N, j), bit))
     for g in out.values():
         if fixed_dim(rep, g.elements) <= 0:
-            raise AssertionError(f"{g.kind}-generators fix nothing in {rep.label}")
+            raise ExactnessError(f"{g.kind}-generators fix nothing in {rep.label}")
     return out
 
 

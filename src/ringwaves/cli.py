@@ -173,6 +173,8 @@ def _load_config(args) -> RunConfig:
         value = getattr(cfg, key)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
+    if (cfg.alpha is None) != (cfg.beta is None):
+        raise ValueError("alpha and beta must be given together")
     _check_rows("zeta_table", cfg.zeta_table, 2)
     _check_rows("eigendata", cfg.eigendata, 3)
     # an N-component field holds each isotypic block at most N times, and
@@ -250,7 +252,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_invariant(cfg: RunConfig) -> int:
     params = cfg.params()
-    if cfg.alpha is None or cfg.beta is None:
+    if cfg.alpha is None:  # _load_config takes alpha and beta together or not at all
         if cfg.m is None or cfg.n is None or cfg.j is None:
             raise ValueError("invariant needs either (alpha, beta) or (m, n, j)")
         got = critical_point(cfg.m, cfg.n, cfg.j, 1, params)
@@ -296,7 +298,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ValueError(f"--ring-radius must be positive and finite, got {cfg.ring_radius}")
     if cfg.out and Path(cfg.out).suffix == ".csv":
         raise ValueError(f"--out {cfg.out} ends in .csv, the name of the ring CSV beside it")
-    if cfg.alpha is not None and cfg.beta is not None:
+    if cfg.alpha is not None:
         point = (cfg.alpha, cfg.beta)
     else:
         got = critical_point(*_block_indices(cfg), 1, params)

@@ -142,5 +142,5 @@ def maximal_kind_types(rep: GIrrep, ctx: TwistedContext):
     for a in out:
         for b in out:
             if a != b and ctx.n_t(a, b) > 0:
-                raise AssertionError("maximal types are not an antichain")
+                raise ExactnessError("maximal types are not an antichain")
     return sorted(out)

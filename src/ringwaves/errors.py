@@ -16,11 +16,11 @@ class SizeCapError(RingwavesError):
 
 
 class ExactnessError(RingwavesError):
-    """An integer recurrence produced a non-integer value.
+    """An internal consistency check failed, say an inexact division.
 
-    This signals an internal inconsistency (a lattice or Weyl-order bug),
-    never a rounding concern: all divisions in the ring recurrences must be
-    exact.
+    This signals a defect of the algebra (a lattice or Weyl-order bug),
+    never a rounding concern or bad input: all divisions in the ring
+    recurrences must be exact.
     """
 
 

@@ -7,8 +7,9 @@ products, inverses and conjugates follow from a formula (`mul_index`) and a
 group holds nothing quadratic in its order.  Lists their subgroups from the
 known subgroups of D_N (lifted through Z2 x Z2 by Goursat's lemma), and
 organizes subgroups into conjugacy classes with Weyl orders and the
-subconjugation counting table n(H, K).  Everything downstream (Burnside
-arithmetic, basic degrees, twisted orbit types) consumes this data.
+subconjugation counting table n(H, K), by `conjugacy_classes`, which the
+twisted orbit types share.  Everything downstream (Burnside arithmetic,
+basic degrees, twisted orbit types) consumes this data.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .errors import SizeCapError
+from .errors import ExactnessError, SizeCapError
 
 DEFAULT_SUBGROUP_CAP = 200
 
@@ -257,6 +258,49 @@ def enumerate_subgroups(group: FiniteGroup):
     return sorted(subs, key=lambda s: (s.order, s.elems))
 
 
+def conjugacy_classes(conjugations, seeds, order):
+    """Conjugacy classes of the (K tuple, tag tuple) keys in `seeds`.
+
+    A conjugation (a permutation of the group's indices) sends K to the
+    sorted tuple K' and permutes the tags along with K's elements; each
+    (K, conjugation) move is found once per call and serves every tag tuple
+    on K.  A subgroup is the key (K, zeros), a (K, phi) pair the key
+    (K, turns).  Returns (canonical key, orbit, Weyl order) per class, the
+    canonical key being the least key of the orbit, ordered by (-|K|, key).
+    By orbit-stabilizer the Weyl order is `order` / |orbit| / |K|.
+    """
+    moves = {}  # (K tuple, conjugation) -> (K' tuple, position permutation)
+
+    def conjugate(key, c):
+        elems, tags = key
+        move = moves.get((elems, c))
+        if move is None:
+            image = list(map(conjugations[c].__getitem__, elems))
+            perm = sorted(range(len(elems)), key=image.__getitem__)
+            move = moves[elems, c] = tuple(map(image.__getitem__, perm)), perm
+        return move[0], tuple(map(tags.__getitem__, move[1]))
+
+    found, seen = {}, set()  # canonical key -> orbit; keys of the orbits found
+    for key in seeds:
+        if key not in seen:
+            orbit = generated(range(len(conjugations)), conjugate, [key])
+            seen.update(orbit)
+            found[min(orbit)] = orbit
+    classes = []
+    for key in sorted(found, key=lambda key: (-len(key[0]), key)):
+        weyl, r = divmod(order, len(found[key]) * len(key[0]))
+        if r:
+            raise ExactnessError(f"|orbit| * |K| does not divide the group order {order}")
+        classes.append((key, found[key], weyl))
+    return classes
+
+
+def graph_mask(elems, tags, width=1) -> int:
+    """Bit k * width + t for each element k with tag t, so that one key lies
+    in another (K <= K' with equal tags on K) iff its mask's bits are set."""
+    return sum(1 << (k * width + t) for k, t in zip(elems, tags))
+
+
 class SubgroupClassLattice:
     """Conjugacy classes of subgroups with Weyl orders and n(H, K) counts.
 
@@ -269,74 +313,40 @@ class SubgroupClassLattice:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.subgroups = enumerate_subgroups(group)
-        sub_ids = {s.members: i for i, s in enumerate(self.subgroups)}
-        self.subgroup_ids = sub_ids
+        self.subgroup_ids = {s.elems: i for i, s in enumerate(self.subgroups)}
 
         # per conjugator c of the group, the permutation h -> c h c^-1
         self.conjugations = [
             tuple(group.conj(c, h) for h in range(group.order)) for c in group.conjugators
         ]
-
-        def conjugate(members, conj):
-            return frozenset(map(conj.__getitem__, members))
-
-        class_of_sub = [-1] * len(self.subgroups)
-        classes = []  # list of lists of subgroup ids
-        for i, s in enumerate(self.subgroups):
-            if class_of_sub[i] >= 0:
-                continue
-            orbit = generated(self.conjugations, conjugate, [s.members])
-            ids = sorted(sub_ids[m] for m in orbit)
-            cid = len(classes)
-            for k in ids:
-                class_of_sub[k] = cid
-            classes.append(ids)
-        self.class_of_subgroup = class_of_sub
-
-        # representative: member with minimal element tuple
-        reps = []
-        for ids in classes:
-            rep = min((self.subgroups[i] for i in ids), key=lambda s: s.elems)
-            reps.append(rep)
-        order_key = sorted(
-            range(len(classes)), key=lambda c: (-reps[c].order, reps[c].elems)
+        found = conjugacy_classes(
+            self.conjugations, [(s.elems, (0,) * s.order) for s in self.subgroups], group.order
         )
-        # re-index classes so that position == total-order rank (descending)
-        self.classes = [sorted(classes[c]) for c in order_key]
-        self.reps = [reps[c] for c in order_key]
-        remap = {old: new for new, old in enumerate(order_key)}
-        self.class_of_subgroup = [remap[c] for c in class_of_sub]
+        self.classes = [sorted(self.subgroup_ids[elems] for elems, _ in orbit)
+                        for _, orbit, _ in found]
+        self.reps = [self.subgroups[self.subgroup_ids[key[0]]] for key, _, _ in found]
+        self.weyl = [weyl for *_, weyl in found]
         self.n_classes = len(self.classes)
+        self.class_of_subgroup = [0] * len(self.subgroups)
+        for c, ids in enumerate(self.classes):
+            for i in ids:
+                self.class_of_subgroup[i] = c
 
-        # orbit-stabilizer: |N(H)| = |G| / (class size), |W(H)| = |N(H)| / |H|
-        self.weyl = []
-        for ids, rep in zip(self.classes, self.reps):
-            norm, r = divmod(group.order, len(ids))
-            if r or norm % rep.order:
-                raise AssertionError("normalizer order not divisible by subgroup order")
-            self.weyl.append(norm // rep.order)
-        self.n_table = self._build_n_table()
-
-    def _build_n_table(self):
-        """n[h][k] = number of conjugates of the class-k rep that contain rep h."""
-        masks = [sum(1 << i for i in s.elems) for s in self.subgroups]
-        conjugates = [[masks[i] for i in ids] for ids in self.classes]
+        # n[h][k] = number of conjugates of the class-k rep that contain rep h
+        masks = [[graph_mask(*key) for key in orbit] for _, orbit, _ in found]
         orders = [rep.order for rep in self.reps]
-        table = []
-        for h, hrep in enumerate(self.reps):
-            want = masks[self.subgroup_ids[hrep.members]]
-            table.append(tuple(
-                sum(1 for m in conjugates[k] if m & want == want) if order % orders[h] == 0 else 0
-                for k, order in enumerate(orders)
-            ))
-        return tuple(table)
+        self.n_table = tuple(
+            tuple(sum(1 for m in masks[k] if m & want == want) if order % orders[h] == 0 else 0
+                  for k, order in enumerate(orders))
+            for h, want in enumerate(graph_mask(*key) for key, _, _ in found)
+        )
 
     def n(self, h: int, k: int) -> int:
         return self.n_table[h][k]
 
     def class_id(self, members) -> int:
         """Class of an explicit subgroup element set; KeyError if not a subgroup."""
-        return self.class_of_subgroup[self.subgroup_ids[frozenset(members)]]
+        return self.class_of_subgroup[self.subgroup_ids[tuple(sorted(members))]]
 
     def full_class(self) -> int:
         return 0

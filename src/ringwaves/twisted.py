@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .burnside import BurnsideElement, SparseSum, bilinear, solve_marks
 from .errors import ExactnessError
-from .groups import SubgroupClassLattice, build_once, generated
+from .groups import SubgroupClassLattice, build_once, conjugacy_classes, generated, graph_mask
 
 
 class TwistedOrbitType(NamedTuple):
@@ -125,37 +125,10 @@ class TwistedContext:
         self.lattice = lattice
         self.group = g = lattice.group
         self.denominator = math.lcm(g.n, 2)  # the exponent of D_N and of Z2 x Z2 x D_N
-        self._classes = []  # canonical keys: (K tuple, turn tuple)
-        self._class_ids = {}
-        # per class, one graph mask per conjugate (K', phi'): bit k*L + phi'(k)
-        self._conjugates = []
-        self._weyl = []
-        self._kclass = []  # lattice class id of K
         self._n_cache = {}
-        self._moves = {}  # (K tuple, generator) -> (K' tuple, position permutation)
         self._build()
 
     # -- construction ------------------------------------------------------
-
-    def _orbit(self, key) -> set:
-        """Gamma'-orbit of the (K tuple, turn tuple) key, as a set of keys.
-
-        Conjugating by a generator c sends the sorted K tuple to a sorted
-        tuple K' and permutes positions; each (K, c) move is found once and
-        serves every phi on K.
-        """
-        moves = self._moves
-
-        def conjugate(key, c):
-            elems, turns = key
-            move = moves.get((elems, c))
-            if move is None:
-                conj = self.lattice.conjugations[c]
-                image = sorted((conj[k], i) for i, k in enumerate(elems))
-                move = moves[elems, c] = tuple(k for k, _ in image), [i for _, i in image]
-            return move[0], tuple(map(turns.__getitem__, move[1]))
-
-        return set(generated(range(len(self.lattice.conjugations)), conjugate, [key]))
 
     def _canonical_key(self, phi: dict):
         """Least key in the orbit of (K, phi); phi's turns may be any rationals."""
@@ -167,37 +140,22 @@ class TwistedContext:
             if t.denominator != 1:
                 raise ValueError(f"turn {phi[k]} is not a multiple of 1/{L}")
             turns.append(int(t))
-        return min(self._orbit((elems, tuple(turns))))
+        return conjugacy_classes(self.lattice.conjugations, [(elems, tuple(turns))],
+                                 self.group.order)[0][0]
 
     def _build(self):
         lat, L = self.lattice, self.denominator
-        found = {}  # canonical key -> (K class, orbit)
-        for kclass in range(lat.n_classes):
-            elems = lat.reps[kclass].elems
-            q, homs = _circle_homs(self.group, elems)
-            seen = set()  # orbit keys already met from this K
-            for phi in homs:
-                own = (elems, tuple(phi[k] * (L // q) for k in elems))
-                if own in seen:
-                    continue
-                orbit = self._orbit(own)
-                seen.update(orbit)
-                found[min(orbit)] = (kclass, orbit)
-        for key in sorted(found, key=lambda key: (-len(key[0]), key)):
-            kclass, orbit = found[key]
-            # orbit-stabilizer: the phi-preserving normalizer has order |G| / |orbit|
-            stab, r = divmod(self.group.order, len(orbit))
-            if r or stab % len(key[0]):
-                raise ExactnessError("phi-stabilizer order not divisible by |K|")
-            self._class_ids[key] = len(self._classes)
-            self._classes.append(key)
-            self._kclass.append(kclass)
-            self._conjugates.append([self._graph(elems, turns) for elems, turns in orbit])
-            self._weyl.append(stab // len(key[0]))
-
-    def _graph(self, elems, turns) -> int:
-        L = self.denominator
-        return sum(1 << (k * L + t) for k, t in zip(elems, turns))
+        seeds = []  # every phi on every class rep K, as a (K tuple, turn tuple) key
+        for rep in lat.reps:
+            q, homs = _circle_homs(self.group, rep.elems)
+            seeds += ((rep.elems, tuple(phi[k] * (L // q) for k in rep.elems)) for phi in homs)
+        found = conjugacy_classes(lat.conjugations, seeds, self.group.order)
+        self._classes = [key for key, _, _ in found]  # canonical keys
+        self._class_ids = {key: i for i, key in enumerate(self._classes)}
+        self._kclass = [lat.class_id(key[0]) for key in self._classes]  # lattice class of K
+        # per class, one graph mask per conjugate (K', phi'): bit k*L + phi'(k)
+        self._conjugates = [[graph_mask(*key, L) for key in orbit] for _, orbit, _ in found]
+        self._weyl = [weyl for *_, weyl in found]
 
     # -- queries -----------------------------------------------------------
 
@@ -247,7 +205,8 @@ class TwistedContext:
         if got is not None:
             return got
         elems, turns = self._classes[kphi1]
-        want = self._graph(elems, [t * power % self.denominator for t in turns])
+        L = self.denominator
+        want = graph_mask(elems, [t * power % L for t in turns], L)
         count = sum(1 for graph in self._conjugates[kphi2] if graph & want == want)
         self._n_cache[(kphi1, kphi2, power)] = count
         return count

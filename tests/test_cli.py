@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringwaves
-from ringwaves import cli, verify
+from ringwaves import bifurcation, cli, verify
 from ringwaves.cli import main
 from ringwaves.verify import eigenfunction
 
@@ -368,6 +368,10 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         ([], {"alpha": 10**400, "beta": 1.0}),
         (["invariant", "--N", "3", "--m", "1", "--n", "0", "--j", "0", "--nu", "1/10"], None),
         (["invariant", "--N", "3", "--m", "1", "--n", "-1", "--j", "0", "--nu", "1/10"], None),
+        (["invariant", "--N", "3", "--m", "1", "--n", "1", "--j", "0", "--alpha", "0.1"], None),
+        (["verify", "--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2",
+          "--beta", "0.5"], None),
+        ([], {"alpha": 0.1}),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
@@ -375,7 +379,8 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
          "export-values-cap", "verify-values-cap", "eigendata-repeated-index",
          "eigendata-multiplicity-above-N", "eigendata-z-nan", "eigendata-z-negative",
          "eigendata-z-inf", "eigendata-z-huge-int", "table-huge-int", "config-alpha-huge-int",
-         "invariant-n-zero", "invariant-n-negative"],
+         "invariant-n-zero", "invariant-n-negative", "invariant-alpha-alone",
+         "verify-beta-alone", "config-alpha-alone"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -412,6 +417,15 @@ def test_circle_closure_limit_exits_with_its_size(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err == ("error: generated circle subgroup has more than 100000 elements, "
                    "the closure limit\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_internal_check_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    # generators that fix nothing are a defect of the algebra, not of the input
+    monkeypatch.setattr(bifurcation, "fixed_dim", lambda rep, elements: 0)
+    assert main(["export-eigenfunction", "--N", "3", "--out", str(tmp_path / "u.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal consistency failure: H-generators fix nothing in W1xtrivial^0\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwaves import groups
-from ringwaves.errors import SizeCapError
+from ringwaves.errors import ExactnessError, SizeCapError
 from ringwaves.groups import (
     DihedralElement,
     GammaPrimeElement,
     SubgroupClassLattice,
+    conjugacy_classes,
     dihedral_group,
     enumerate_subgroups,
     gamma_prime,
@@ -163,6 +164,27 @@ def test_d3_class_lattice():
     # n(1, Z2) = 3: three reflection subgroups
     assert lat.n(3, 2) == 3
     assert lat.weyl == [1, 2, 1, 6]
+
+
+def test_conjugacy_classes_of_tagged_keys_in_d3():
+    # D_3 = {g^r} (0..2) and {g^r k} (3..5): a subgroup is the key (K, zeros);
+    # tags move with K's elements, and k swaps g and g^2
+    lat = SubgroupClassLattice(dihedral_group(3))
+    seeds = [(s.elems, (0,) * s.order) for s in lat.subgroups]
+    seeds += [((0, 3), (0, 1)), ((0, 1, 2), (0, 2, 1)), ((0, 1, 2), (0, 1, 2))]
+    got = [(key, len(orbit), weyl)
+           for key, orbit, weyl in conjugacy_classes(lat.conjugations, seeds, 6)]
+    assert got == [
+        (((0, 1, 2, 3, 4, 5), (0,) * 6), 1, 1),
+        (((0, 1, 2), (0, 0, 0)), 1, 2),
+        (((0, 1, 2), (0, 1, 2)), 2, 1),
+        (((0, 3), (0, 0)), 3, 1),
+        (((0, 3), (0, 1)), 3, 1),
+        (((0,), (0,)), 1, 6),
+    ]
+    # a Weyl order is |G| / |orbit| / |K|, which must divide exactly
+    with pytest.raises(ExactnessError):
+        conjugacy_classes(lat.conjugations, seeds, 7)
 
 
 def test_weyl_divisibility_and_n_diagonal():

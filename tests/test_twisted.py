@@ -133,6 +133,18 @@ def test_product_counts_match_k_mask_oracle_at_n8(kphi1, kphi2, fold):
     assert ctx.n_t(h, l_type) == product_count_oracle(ctx, h, l_type)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_trivial_phi_classes_are_the_lattice_classes(n):
+    # a subgroup K is the pair (K, phi = 0): both structures find it by one routine
+    lat = gamma_prime_lattice(n)
+    ctx = twisted_context(lat)
+    for c, rep in enumerate(lat.reps):
+        kphi = ctx._class_ids[rep.elems, (0,) * rep.order]
+        assert ctx.k_class(kphi) == c
+        assert ctx.weyl_t(TwistedOrbitType(kphi, 1)) == lat.weyl[c]
+        assert len(ctx._conjugates[kphi]) == len(lat.classes[c])
+
+
 def test_module_identity_action(lat3, ctx3):
     one = BurnsideElement.one(lat3)
     sub, r = reflection_subgroup(lat3, 0)
