@@ -31,7 +31,7 @@ from .bifurcation import (
 )
 from .burnside import multiplication_table
 from .errors import DegenerateParameterError, ExactnessError, RingwavesError
-from .groups import dihedral_group, gamma_prime_lattice
+from .groups import check_gamma_prime_order, dihedral_group, gamma_prime_lattice
 from .reps import LaplacianEigendata, character_table, cycle_laplacian_eigendata
 from .spectrum import (
     MU_ZERO_TOL,
@@ -241,6 +241,7 @@ def cmd_critical_points(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    check_gamma_prime_order(cfg.N)  # before cfg.params() builds N/2 + 1 eigendata rows
     params = cfg.params()
     report = predict_branches(params, cfg.m_max, cfg.n_max, mode=cfg.prediction_mode)
     payload = prediction_report_json(params, cfg.m_max, cfg.n_max, report)
@@ -251,6 +252,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_invariant(cfg: RunConfig) -> int:
+    check_gamma_prime_order(cfg.N)  # before cfg.params() builds N/2 + 1 eigendata rows
     params = cfg.params()
     if cfg.alpha is None:  # _load_config takes alpha and beta together or not at all
         if cfg.m is None or cfg.n is None or cfg.j is None:
@@ -291,6 +293,11 @@ def cmd_invariant(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    spectral_grid = ("spectral", 12, 10)  # the cross-check's discretization
+    # the caps of verify.assemble, before cfg.params() builds N/2 + 1 eigendata rows
+    n_blocks = len(cfg.eigendata) if cfg.eigendata else cfg.N // 2 + 1
+    for mode, m_t, m_x in (("fd", cfg.grid_t, cfg.grid_x), spectral_grid):
+        verify_mod.check_assembly_size(n_blocks, mode, m_t, m_x)
     params = cfg.params()
     if cfg.ring_points < 1:
         raise ValueError(f"--ring-points must be at least 1, got {cfg.ring_points}")
@@ -317,7 +324,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             n_ring=cfg.ring_points,
         )
         spectral = verify_mod.spectral_eigenvalue_deviation(
-            verify_mod.assemble(params, point[0], point[1], "spectral", 12, 10), params
+            verify_mod.assemble(params, point[0], point[1], *spectral_grid), params
         )
     center = rows[0][2]
     ring_min = min(r[2] for r in rows[1:])
@@ -348,6 +355,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_export_eigenfunction(cfg: RunConfig) -> int:
+    # before cfg.params() builds N/2 + 1 eigendata rows
+    verify_mod.check_eigenfunction_size(cfg.N, cfg.grid_t, cfg.grid_x)
     params = cfg.params()
     m, n, j = _block_indices(cfg)
     if cfg.grid_t < 1 or cfg.grid_x < 1:
@@ -393,6 +402,7 @@ def cmd_export_eigenfunction(cfg: RunConfig) -> int:
 
 
 def cmd_group_tables(cfg: RunConfig) -> int:
+    check_gamma_prime_order(cfg.N)  # before cfg.params() builds N/2 + 1 eigendata rows
     params = cfg.params()
     lattice = gamma_prime_lattice(params.N)
     outdir = Path(cfg.out or ".")

@@ -62,7 +62,7 @@ def _twisted_fixed_dims(ctx: TwistedContext, rep: DressedIrrep) -> tuple:
     rows = [[rep.sign(g) * v for v in base[g.dihedral]] for g in elements]
     return tuple(
         galois_average(map(getitem, map(rows.__getitem__, elems), turns), L, len(elems))
-        for elems, turns in ctx._classes
+        for elems, turns in ctx.class_keys
     )
 
 

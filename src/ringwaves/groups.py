@@ -384,7 +384,12 @@ def dihedral_lattice(n: int) -> SubgroupClassLattice:
     return SubgroupClassLattice(dihedral_group(n))
 
 
+def check_gamma_prime_order(n: int):
+    """Raise SizeCapError if |Gamma'_N| = 8N is over the cap, building nothing."""
+    _check_order(8 * n)
+
+
 @build_once
 def gamma_prime_lattice(n: int) -> SubgroupClassLattice:
-    _check_order(8 * n)  # bounds the subgroup enumeration and the n(H, K) table
+    check_gamma_prime_order(n)  # bounds the subgroup enumeration and the n(H, K) table
     return SubgroupClassLattice(gamma_prime(n))

@@ -39,25 +39,6 @@ class TwistedSubgroup:
     phi: tuple  # ((elem, turn), ...) sorted by elem
     l: int
 
-    @staticmethod
-    def build(lattice, members, phi: dict, l: int) -> "TwistedSubgroup":
-        members = frozenset(members)
-        if l < 0:
-            raise ValueError("folding must be >= 0")
-        if l == 0:
-            phi = {k: Fraction(0) for k in members}
-        mul = lattice.group.mul
-        if set(phi) != members:
-            raise ValueError("phi must be defined exactly on K")
-        for a in members:
-            for b in members:
-                if (phi[a] + phi[b] - phi[mul(a, b)]) % 1 != 0:
-                    raise ValueError("phi is not a homomorphism")
-        return TwistedSubgroup(members, tuple(sorted(phi.items())), l)
-
-    def phi_dict(self) -> dict:
-        return dict(self.phi)
-
 
 def _commutator_subgroup(group, gens) -> frozenset:
     """[K, K] for K = <gens>: the normal closure of the generators' commutators."""
@@ -116,22 +97,46 @@ class TwistedContext:
     canonical key), a total order refining twisted subconjugation at equal
     folding.  Inside the context a turn is an integer mod `denominator`, the
     exponent L of Gamma' (every phi takes values in (1/L)Z / Z); canonical
-    keys are (K tuple, turn tuple) pairs.  Turns leave as Fraction(t, L).
-    Since t -> t / L is monotone on 0..L-1, integer keys order as the
-    Fraction keys would.
+    keys (`class_keys`, indexed by class id) are (K tuple, turn tuple) pairs.
+    Turns leave as Fraction(t, L).  Since t -> t / L is monotone on 0..L-1,
+    integer keys order as the Fraction keys would.  Nothing changes after
+    construction; `type_of` is the one way in from an explicit (K, phi, l).
     """
 
     def __init__(self, lattice: SubgroupClassLattice):
         self.lattice = lattice
         self.group = g = lattice.group
-        self.denominator = math.lcm(g.n, 2)  # the exponent of D_N and of Z2 x Z2 x D_N
-        self._n_cache = {}
-        self._build()
+        self.denominator = L = math.lcm(g.n, 2)  # the exponent of D_N and of Z2 x Z2 x D_N
+        seeds = []  # every phi on every class rep K, as a (K tuple, turn tuple) key
+        for rep in lattice.reps:
+            q, homs = _circle_homs(g, rep.elems)
+            seeds += ((rep.elems, tuple(phi[k] * (L // q) for k in rep.elems)) for phi in homs)
+        found = conjugacy_classes(lattice.conjugations, seeds, g.order)
+        self.class_keys = tuple(key for key, _, _ in found)  # canonical (K, turns) per class id
+        self._class_ids = {key: i for i, key in enumerate(self.class_keys)}
+        self._kclass = [lattice.class_id(key[0]) for key in self.class_keys]  # lattice class of K
+        # per class, one graph mask per conjugate (K', phi'): bit k*L + phi'(k)
+        self._conjugates = [[graph_mask(*key, L) for key in orbit] for _, orbit, _ in found]
+        self._weyl = [weyl for *_, weyl in found]
 
-    # -- construction ------------------------------------------------------
+    @property
+    def n_types(self) -> int:
+        return len(self.class_keys)
 
-    def _canonical_key(self, phi: dict):
-        """Least key in the orbit of (K, phi); phi's turns may be any rationals."""
+    def type_of(self, members, phi: dict, l: int) -> TwistedOrbitType:
+        """Orbit type of (K, phi, l); phi's turns may be any rationals."""
+        members = frozenset(members)
+        if l < 0:
+            raise ValueError("folding must be >= 0")
+        if l == 0:
+            phi = {k: Fraction(0) for k in members}
+        mul = self.group.mul
+        if set(phi) != members:
+            raise ValueError("phi must be defined exactly on K")
+        for a in members:
+            for b in members:
+                if (phi[a] + phi[b] - phi[mul(a, b)]) % 1 != 0:
+                    raise ValueError("phi is not a homomorphism")
         L = self.denominator
         elems = tuple(sorted(phi))
         turns = []
@@ -140,38 +145,12 @@ class TwistedContext:
             if t.denominator != 1:
                 raise ValueError(f"turn {phi[k]} is not a multiple of 1/{L}")
             turns.append(int(t))
-        return conjugacy_classes(self.lattice.conjugations, [(elems, tuple(turns))],
-                                 self.group.order)[0][0]
-
-    def _build(self):
-        lat, L = self.lattice, self.denominator
-        seeds = []  # every phi on every class rep K, as a (K tuple, turn tuple) key
-        for rep in lat.reps:
-            q, homs = _circle_homs(self.group, rep.elems)
-            seeds += ((rep.elems, tuple(phi[k] * (L // q) for k in rep.elems)) for phi in homs)
-        found = conjugacy_classes(lat.conjugations, seeds, self.group.order)
-        self._classes = [key for key, _, _ in found]  # canonical keys
-        self._class_ids = {key: i for i, key in enumerate(self._classes)}
-        self._kclass = [lat.class_id(key[0]) for key in self._classes]  # lattice class of K
-        # per class, one graph mask per conjugate (K', phi'): bit k*L + phi'(k)
-        self._conjugates = [[graph_mask(*key, L) for key in orbit] for _, orbit, _ in found]
-        self._weyl = [weyl for *_, weyl in found]
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def n_types(self) -> int:
-        return len(self._classes)
-
-    def canonicalize(self, sub: TwistedSubgroup) -> TwistedOrbitType:
-        key = self._canonical_key(sub.phi_dict())
-        return TwistedOrbitType(self._class_ids[key], sub.l)
-
-    def type_of(self, members, phi: dict, l: int) -> TwistedOrbitType:
-        return self.canonicalize(TwistedSubgroup.build(self.lattice, members, phi, l))
+        key = conjugacy_classes(self.lattice.conjugations, [(elems, tuple(turns))],
+                                self.group.order)[0][0]
+        return TwistedOrbitType(self._class_ids[key], l)
 
     def representative(self, t: TwistedOrbitType) -> TwistedSubgroup:
-        elems, turns = self._classes[t.kphi]
+        elems, turns = self.class_keys[t.kphi]
         if t.l == 0:
             turns = (0,) * len(elems)
         phi = tuple((k, Fraction(u, self.denominator)) for k, u in zip(elems, turns))
@@ -197,27 +176,11 @@ class TwistedContext:
             return self.lattice.n_table[kh][kl] * fibre
         if h.l == 0 or l_type.l % h.l:
             return 0
-        return self._n_power_phase(h.kphi, l_type.kphi, l_type.l // h.l)
-
-    def _n_power_phase(self, kphi1: int, kphi2: int, power: int) -> int:
-        """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1."""
-        got = self._n_cache.get((kphi1, kphi2, power))
-        if got is not None:
-            return got
-        elems, turns = self._classes[kphi1]
-        L = self.denominator
-        want = graph_mask(elems, [t * power % L for t in turns], L)
-        count = sum(1 for graph in self._conjugates[kphi2] if graph & want == want)
-        self._n_cache[(kphi1, kphi2, power)] = count
-        return count
-
-    def generating_set(self, t: TwistedOrbitType):
-        """Small generating set of the representative's K, for display."""
-        return self.group.generators(self._classes[t.kphi][0])
+        return _n_power_phase(self, h.kphi, l_type.kphi, l_type.l // h.l)
 
     def type_str(self, t: TwistedOrbitType) -> str:
-        elems, turns = self._classes[t.kphi]
-        gens = self.generating_set(t)
+        elems, turns = self.class_keys[t.kphi]
+        gens = self.group.generators(elems)  # a small generating set, for display
         phi = dict(zip(elems, turns))
         g = self.group
         gen_str = ",".join(f"{g.elements[x]}" for x in gens) or "e"
@@ -267,6 +230,15 @@ def module_product(a: BurnsideElement, b: TwistedSum) -> TwistedSum:
 def twisted_context(lattice: SubgroupClassLattice) -> TwistedContext:
     """The (K, phi)-classes over `lattice`, built once per lattice."""
     return TwistedContext(lattice)
+
+
+@lru_cache(maxsize=None)
+def _n_power_phase(ctx: TwistedContext, kphi1: int, kphi2: int, power: int) -> int:
+    """Class-kphi2 pairs (K', phi') with K1 <= K' and phi'|K1 = power * phi1."""
+    elems, turns = ctx.class_keys[kphi1]
+    L = ctx.denominator
+    want = graph_mask(elems, [t * power % L for t in turns], L)
+    return sum(1 for graph in ctx._conjugates[kphi2] if graph & want == want)
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,15 @@ class Discretization:
     beta: float
 
 
+def check_assembly_size(n_blocks: int, mode: str, m_t: int, m_x: int):
+    """Reject `n_blocks` isotypic blocks of a `mode` discretization over the cap."""
+    # one block of eigenvalues per isotypic index j, shared by its k copies
+    per_block = m_x + 2 * m_t * m_x if mode == "spectral" else m_t * m_x
+    if n_blocks * per_block > MAX_ASSEMBLY_VALUES:
+        raise ValueError(f"{n_blocks} {mode} blocks of {per_block} values exceed "
+                         f"{MAX_ASSEMBLY_VALUES} values")
+
+
 def assemble(
     params: ModelParams, alpha: float, beta: float, mode: str, m_t: int, m_x: int
 ) -> Discretization:
@@ -52,12 +61,7 @@ def assemble(
         raise ValueError(f"grid {m_t}x{m_x} exceeds {MAX_GRID_POINTS} points")
     if mode not in ("spectral", "fd"):
         raise ValueError("mode must be 'spectral' or 'fd'")
-    # one block of eigenvalues per isotypic index j, shared by its k copies
-    per_block = m_x + 2 * m_t * m_x if mode == "spectral" else m_t * m_x
-    n_blocks = len(params.eigendata.entries)
-    if n_blocks * per_block > MAX_ASSEMBLY_VALUES:
-        raise ValueError(f"{n_blocks} {mode} blocks of {per_block} values exceed "
-                         f"{MAX_ASSEMBLY_VALUES} values")
+    check_assembly_size(len(params.eigendata.entries), mode, m_t, m_x)
     js = [j for j, _z, _mult in params.eigendata.entries]
     if mode == "fd":
         blocks = _fd_blocks(params, alpha, beta, js, m_t, m_x)
@@ -193,6 +197,13 @@ def transverse_profile(n: int, x: np.ndarray) -> np.ndarray:
     return np.cos(n * x) if n % 2 else np.sin(n * x)
 
 
+def check_eigenfunction_size(N: int, m_t: int, m_x: int):
+    """Reject an N-component eigenfunction grid over the cap."""
+    if m_t * m_x * N > MAX_EIGENFUNCTION_VALUES:
+        raise ValueError(f"grid {m_t}x{m_x} of {N} components exceeds "
+                         f"{MAX_EIGENFUNCTION_VALUES} values")
+
+
 def eigenfunction(
     N: int, m: int, n: int, j: int, kind: str, m_t: int, m_x: int
 ) -> GridFunction:
@@ -202,9 +213,7 @@ def eigenfunction(
     standing profile in its real part (fixed by a plain reflection) and S the
     complementary standing profile.
     """
-    if m_t * m_x * N > MAX_EIGENFUNCTION_VALUES:
-        raise ValueError(f"grid {m_t}x{m_x} of {N} components exceeds "
-                         f"{MAX_EIGENFUNCTION_VALUES} values")
+    check_eigenfunction_size(N, m_t, m_x)
     t = np.linspace(0.0, 2.0 * math.pi, m_t, endpoint=False)
     x = -math.pi / 2 + math.pi * np.arange(1, m_x + 1) / (m_x + 1)
     prof = transverse_profile(n, x)

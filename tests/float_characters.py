@@ -84,7 +84,7 @@ def twisted_fixed_dims(ctx, rep) -> list:
     cosines = [math.cos(2.0 * math.pi * t / L) for t in range(L)]
     chars = [dressed_char(rep, g) for g in ctx.group.elements]
     out = []
-    for elems, turns in ctx._classes:
+    for elems, turns in ctx.class_keys:
         total = sum(2.0 * cosines[t] * chars[k] for k, t in zip(elems, turns))
         out.append(_rounded(total / len(elems)))
     return out

@@ -25,12 +25,18 @@ def hom_to_circle(group, members) -> list[dict]:
     return [{k: Fraction(t, q) for k, t in phi.items()} for phi in homs]
 
 
+def is_circle_hom(group, phi: dict) -> bool:
+    """phi(a) + phi(b) = phi(ab) mod 1 for every pair, by the oracle's Cayley table."""
+    tab = cayley(group).table
+    return all((phi[a] + phi[b] - phi[tab[a][b]]) % 1 == 0 for a in phi for b in phi)
+
+
 def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
     """Common circle denominator Q so that every phi value and folding fits."""
     q = extra
     for t in types:
         q = math.lcm(q, max(t.l, 1))
-        for turn in ctx._classes[t.kphi][1]:
+        for turn in ctx.class_keys[t.kphi][1]:
             q = math.lcm(q, Fraction(turn, ctx.denominator).denominator * max(t.l, 1))
     return q
 
@@ -38,7 +44,7 @@ def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
 def realize_in_quotient(ctx: TwistedContext, t: TwistedOrbitType, q: int):
     """Element set of the representative twisted subgroup inside Z_q x Gamma'."""
     rep = ctx.representative(t)
-    phi = rep.phi_dict()
+    phi = dict(rep.phi)
     out = set()
     for k in rep.members:
         if t.l == 0:
@@ -146,7 +152,7 @@ def _conjugate_kmasks(ctx: TwistedContext, kphi: int) -> list:
     """One bit mask of K' per conjugate (K', phi') of the class kphi, the
     conjugates found by conjugating with every element."""
     conj = cayley(ctx.group).conj
-    elems, turns = ctx._classes[kphi]
+    elems, turns = ctx.class_keys[kphi]
     conjugates = {frozenset((conj(c, k), t) for k, t in zip(elems, turns))
                   for c in range(ctx.group.order)}
     return [sum(1 << k for k, _ in pairs) for pairs in conjugates]
@@ -157,7 +163,7 @@ def product_count_oracle(ctx: TwistedContext, h: TwistedOrbitType, l_type: Twist
     its class whose K' holds the K of H, whatever H's phi and folding."""
     if l_type.l:
         raise ValueError("l_type must be a product type")
-    want = sum(1 << k for k in ctx._classes[h.kphi][0])
+    want = sum(1 << k for k in ctx.class_keys[h.kphi][0])
     return sum(1 for mask in _conjugate_kmasks(ctx, l_type.kphi) if mask & want == want)
 
 
@@ -171,6 +177,6 @@ def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> 
     n, m = ctx.group.n, small.group.n
     if n % m:
         raise ValueError(f"{m} does not divide {n}")
-    phi = small.representative(t).phi_dict()
+    phi = dict(small.representative(t).phi)
     pulled = {i: phi[p] for i in range(ctx.group.order) if (p := i // n * m + i % n % m) in phi}
     return ctx.type_of(frozenset(pulled), pulled, t.l)

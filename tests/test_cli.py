@@ -409,6 +409,30 @@ def test_eigendata_z_outside_the_floats_above_zero_exits_with_one_line(tmp_path,
                             "eigenvalue z >= 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--m-max", "1", "--n-max", "1"],
+    ["invariant", "--m", "1", "--n", "1", "--j", "0"],
+    ["group-tables", "--out", "tables"],
+    ["verify"],
+    ["export-eigenfunction"],
+])
+def test_capped_command_at_huge_n_exits_before_building_eigendata(tmp_path, monkeypatch,
+                                                                  capsys, argv):
+    # each command built the N/2 + 1 eigendata rows before its cap turned N down
+    from ringwaves import spectrum
+
+    def no_huge_eigendata(N, _build=spectrum.cycle_laplacian_eigendata):
+        assert N <= 10**6, f"eigendata for N = {N}"
+        return _build(N)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(spectrum, "cycle_laplacian_eigendata", no_huge_eigendata)
+    assert main(argv + ["--N", "1000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_circle_closure_limit_exits_with_its_size(tmp_path, monkeypatch, capsys):
     # the relations of --m 20000 generate a finite group of more than 1e5 elements
     monkeypatch.chdir(tmp_path)

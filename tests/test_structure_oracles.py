@@ -234,7 +234,7 @@ def test_twisted_classes_match_fraction_orbit_build(n):
         key = (tuple(k for k, _ in rep.phi), tuple(t for _, t in rep.phi))
         got.append((key, ctx.weyl_t(TwistedOrbitType(kphi, 1)), ctx.k_class(kphi)))
     assert got == fraction_orbit_classes(lattice)
-    assert all(type(t) is int for _, turns in ctx._classes for t in turns)
+    assert all(type(t) is int for _, turns in ctx.class_keys for t in turns)
 
 
 def test_subconjugation_counts_match_fraction_orbits(lat3, ctx3):

@@ -13,7 +13,6 @@ from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime_lat
 from ringwaves.reps import DressedIrrep, GIrrep, character_table
 from ringwaves.twisted import (
     TwistedOrbitType,
-    TwistedSubgroup,
     TwistedSum,
     fold,
     module_product,
@@ -23,6 +22,7 @@ from ringwaves.twisted import (
 
 from oracles.twisted import (
     hom_to_circle,
+    is_circle_hom,
     module_product_oracle,
     product_count_oracle,
     quotient_weyl_oracle,
@@ -65,16 +65,41 @@ def test_product_type_for_trivial_phi(lat3, ctx3):
 
 
 def test_canonical_form_stable_under_identity(lat3, ctx3):
+    # a type's representative leads back to the type
     sub, r = reflection_subgroup(lat3, 2)
-    phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
-    t = ctx3.type_of(sub, phi, 3)
-    assert ctx3.canonicalize(TwistedSubgroup.build(lat3, sub, phi, 3)) == t
+    t = ctx3.type_of(sub, {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}, 3)
+    for kphi in (t.kphi, *range(0, ctx3.n_types, 7)):
+        u = TwistedOrbitType(kphi, 3)
+        rep = ctx3.representative(u)
+        assert ctx3.type_of(rep.members, dict(rep.phi), rep.l) == u
 
 
-def test_invalid_homomorphism_rejected(lat3):
+def test_invalid_homomorphism_rejected(lat3, ctx3):
     sub, r = reflection_subgroup(lat3, 0)
     with pytest.raises(ValueError):
-        TwistedSubgroup.build(lat3, sub, {lat3.group.identity: Fraction(0), r: Fraction(1, 3)}, 1)
+        ctx3.type_of(sub, {lat3.group.identity: Fraction(0), r: Fraction(1, 3)}, 1)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_type_of_rejects_exactly_the_non_homomorphisms(data):
+    # the verdict of type_of's homomorphism check against the oracle's pairwise
+    # one; a moved turn need not break the map (on K = {e, x}, phi(x) = 1/2
+    # moved by 1/2 is the trivial homomorphism)
+    lat = gamma_prime_lattice(data.draw(st.integers(3, 8), label="N"))
+    ctx = twisted_context(lat)
+    members = data.draw(st.sampled_from(lat.reps), label="K").elems
+    phi = data.draw(st.sampled_from(hom_to_circle(lat.group, members)), label="phi")
+    l = data.draw(st.integers(1, 3), label="l")
+    if data.draw(st.booleans(), label="move"):
+        k = data.draw(st.sampled_from(members), label="moved element")
+        L = ctx.denominator
+        phi = {**phi, k: phi[k] + Fraction(data.draw(st.integers(1, L - 1), label="d"), L)}
+    if is_circle_hom(lat.group, phi):
+        assert ctx.type_of(members, phi, l).l == l
+    else:
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            ctx.type_of(members, phi, l)
 
 
 def test_subconjugation_reflexive_and_trivial(lat3, ctx3):
