@@ -21,7 +21,6 @@ from .bifurcation import (
 from .degrees import (
     basic_degree,
     linear_iso_degree,
-    maximal_kind_types,
     twisted_basic_degree,
 )
 from .errors import DegenerateParameterError, ExactnessError, SizeCapError
@@ -32,7 +31,6 @@ from .groups import (
     Subgroup,
     SubgroupClassLattice,
     dihedral_group,
-    dihedral_lattice,
     enumerate_subgroups,
     gamma_prime,
     gamma_prime_lattice,
@@ -47,7 +45,6 @@ from .reps import (
     dressing_bit,
     fixed_dim,
     isotypic_irreps,
-    permutation_isotypic,
 )
 from .spectrum import (
     CouplingCurve,
@@ -69,9 +66,7 @@ from .spectrum import (
 from .twisted import (
     TwistedContext,
     TwistedOrbitType,
-    TwistedSubgroup,
     TwistedSum,
-    fold,
     module_product,
 )
 

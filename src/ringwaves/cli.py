@@ -36,6 +36,7 @@ from .reps import LaplacianEigendata, character_table, cycle_laplacian_eigendata
 from .spectrum import (
     MU_ZERO_TOL,
     ModelParams,
+    check_window_size,
     critical_point,
     enumerate_critical_points,
     linear_curve,
@@ -211,9 +212,18 @@ def _block_indices(cfg: RunConfig) -> tuple[int, int, int]:
     return m, n, 0 if cfg.j is None else cfg.j
 
 
+def _check_window(cfg: RunConfig, odd_m_only: bool):
+    """The window cap of enumerate_critical_points, before cfg.params() builds
+    the N/2 + 1 eigendata rows."""
+    rows = sum(row[2] for row in cfg.eigendata) if cfg.eigendata else cfg.N // 2 + 1
+    check_window_size(rows, cfg.m_max, cfg.n_max, odd_m_only)
+
+
 def cmd_critical_points(cfg: RunConfig) -> int:
+    odd_m_only = cfg.mode == "h-fixed"
+    _check_window(cfg, odd_m_only)
     params = cfg.params()
-    pts = enumerate_critical_points(params, cfg.m_max, cfg.n_max, odd_m_only=cfg.mode == "h-fixed")
+    pts = enumerate_critical_points(params, cfg.m_max, cfg.n_max, odd_m_only=odd_m_only)
     rows = [
         {
             "m": p.quad.m,
@@ -242,6 +252,7 @@ def cmd_critical_points(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     check_gamma_prime_order(cfg.N)  # before cfg.params() builds N/2 + 1 eigendata rows
+    _check_window(cfg, odd_m_only=True)  # predict_branches scans odd m only
     params = cfg.params()
     report = predict_branches(params, cfg.m_max, cfg.n_max, mode=cfg.prediction_mode)
     payload = prediction_report_json(params, cfg.m_max, cfg.n_max, report)

@@ -3,8 +3,8 @@
 Over the finite group the basic degree of an irrep V is computed from the
 top-down recurrence with leading data (-1)^{dim V^H}; over the circle-extended
 group the twisted basic degree of W_m (x) V (m >= 1) has leading data
-dim(V^H)/2 and Weyl orders taken modulo the circle.  Maximal-kind orbit types
-are the maximal isotropy types of W_m (x) V away from the origin.
+dim(V^H)/2 over the types of positive fixed dimension, and Weyl orders taken
+modulo the circle.
 """
 
 from __future__ import annotations
@@ -54,9 +54,15 @@ def linear_iso_degree(neg_spectrum, lattice: SubgroupClassLattice) -> BurnsideEl
 
 
 @lru_cache(maxsize=None)
-def _twisted_fixed_dims(ctx: TwistedContext, rep: DressedIrrep) -> tuple:
-    """twisted_fixed_dim of every (K, phi)-class; row k of the trace table, over
-    every turn t, is a signed copy of the base irrep's row at k's dihedral part."""
+def twisted_fixed_dims(ctx: TwistedContext, rep: DressedIrrep) -> tuple:
+    """dim of (W_l (x) V)^{K^{phi,l}} for every (K, phi)-class, by class id.
+
+    Each (z, k) with z^l = phi(k) acts as the plane rotation by phi(k)
+    tensored with the dressed action, so the average runs over K only and
+    the dimension does not depend on the folding l >= 1.  Row k of the trace
+    table, over every turn t, is a signed copy of the base irrep's row at
+    k's dihedral part.
+    """
     L, elements = ctx.denominator, ctx.group.elements
     base = {d: [rep.base.trace(d, L, t) for t in range(L)] for d in {g.dihedral for g in elements}}
     rows = [[rep.sign(g) * v for v in base[g.dihedral]] for g in elements]
@@ -64,20 +70,6 @@ def _twisted_fixed_dims(ctx: TwistedContext, rep: DressedIrrep) -> tuple:
         galois_average(map(getitem, map(rows.__getitem__, elems), turns), L, len(elems))
         for elems, turns in ctx.class_keys
     )
-
-
-def twisted_fixed_dim(ctx: TwistedContext, kphi: int, rep: DressedIrrep) -> int:
-    """dim of (W_l (x) V)^{K^{phi,l}}: independent of the folding l >= 1.
-
-    Each (z, k) with z^l = phi(k) acts as the plane rotation by phi(k)
-    tensored with the dressed action, so the average runs over K only.
-    """
-    return _twisted_fixed_dims(ctx, rep)[kphi]
-
-
-@lru_cache(maxsize=None)
-def _positive_dim_types(ctx: TwistedContext, rep: DressedIrrep):
-    return [(kphi, d) for kphi, d in enumerate(_twisted_fixed_dims(ctx, rep)) if d > 0]
 
 
 @lru_cache(maxsize=None)
@@ -93,54 +85,10 @@ def twisted_basic_degree(rep: GIrrep, ctx: TwistedContext) -> TwistedSum:
     if rep.m < 1:
         raise ValueError("twisted basic degrees need folding m >= 1")
     # context class ids are sorted by descending |K|: top-down order
-    dims = {TwistedOrbitType(kphi, rep.m): d for kphi, d in _positive_dim_types(ctx, rep.dressed)}
+    dims = {TwistedOrbitType(kphi, rep.m): d
+            for kphi, d in enumerate(twisted_fixed_dims(ctx, rep.dressed)) if d > 0}
     doubled = solve_marks(dims, dims.__getitem__, ctx.n_t, ctx.weyl_t)
     for t, c in doubled.items():
         if c % 2:
             raise ExactnessError(f"non-integer twisted-degree coefficient at {ctx.type_str(t)}")
     return TwistedSum.from_dict(ctx, {t: c // 2 for t, c in doubled.items()})
-
-
-def isotropy_types(rep: GIrrep, ctx: TwistedContext):
-    """Orbit types of W_m (x) V_j^i away from 0, with their fixed dimensions.
-
-    A candidate type is an isotropy type iff its fixed space is not covered
-    by the fixed spaces of strictly larger candidates; over the reals that
-    happens exactly when its dimension strictly exceeds every one of theirs.
-    """
-    if rep.m < 1:
-        raise ValueError("isotropy enumeration needs folding m >= 1")
-    cands = _positive_dim_types(ctx, rep.dressed)
-    dims = dict(cands)
-    out = []
-    for kphi, dim in cands:
-        t = TwistedOrbitType(kphi, rep.m)
-        realized = True
-        for other, odim in cands:
-            if other == kphi:
-                continue
-            to = TwistedOrbitType(other, rep.m)
-            # strictly larger candidate with the same folding
-            if ctx.n_t(t, to) > 0 and odim >= dim:
-                realized = False
-                break
-        if realized:
-            out.append((t, dim))
-    return out
-
-
-def maximal_kind_types(rep: GIrrep, ctx: TwistedContext):
-    """Maximal elements of the isotropy lattice of W_m (x) V_j^i minus 0."""
-    iso = isotropy_types(rep, ctx)
-    out = []
-    for t, _d in iso:
-        if not any(
-            other != t and ctx.n_t(t, other) > 0 for other, _ in iso
-        ):
-            out.append(t)
-    # antichain sanity
-    for a in out:
-        for b in out:
-            if a != b and ctx.n_t(a, b) > 0:
-                raise ExactnessError("maximal types are not an antichain")
-    return sorted(out)

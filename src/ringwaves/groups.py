@@ -378,12 +378,6 @@ def build_once(build):
     return cached
 
 
-@build_once
-def dihedral_lattice(n: int) -> SubgroupClassLattice:
-    _check_order(2 * n)  # bounds the subgroup enumeration and the n(H, K) table
-    return SubgroupClassLattice(dihedral_group(n))
-
-
 def check_gamma_prime_order(n: int):
     """Raise SizeCapError if |Gamma'_N| = 8N is over the cap, building nothing."""
     _check_order(8 * n)

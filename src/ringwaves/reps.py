@@ -140,18 +140,6 @@ def isotypic_irreps(N: int) -> list[DihedralIrrep]:
     return out
 
 
-def permutation_isotypic(N: int) -> dict:
-    """Nonzero multiplicities of irreps in the permutation rep (fixed-vertex counts)."""
-    group = [DihedralElement(rot, ref, N) for ref in (False, True) for rot in range(N)]
-    fixed = [sum(1 for i in range(N) if g.vertex(i) == i) for g in group]
-    out = {}
-    for ir in character_table(N):
-        m = galois_average((f * ir.trace(g, N) for f, g in zip(fixed, group)), N, len(group))
-        if m:
-            out[ir.label] = m
-    return out
-
-
 @dataclass(frozen=True)
 class DressedIrrep:
     """A D_N irrep with a Z2 x Z2 dressing.

@@ -15,13 +15,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ._lazy import np
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, SizeCapError
 from .reps import LaplacianEigendata, cycle_laplacian_eigendata
 
 SIN_DEGENERACY_TOL = 1e-8
 MU_ZERO_TOL = 1e-9
 TAU_PI_RATIONAL_TOL = 1e-9
 MAX_FOLDING_BOUND = 100_000
+MAX_WINDOW_CANDIDATES = 1_000_000  # cap on the (m, n, j, k) a window scans
 
 
 @dataclass(frozen=True)
@@ -335,13 +336,27 @@ class CriticalPoint:
     beta: float
 
 
+def _window_ms(m_max: int, odd_m_only: bool) -> range:
+    return range(1, m_max + 1, 2) if odd_m_only else range(1, m_max + 1)
+
+
+def check_window_size(rows: int, m_max: int, n_max: int, odd_m_only: bool = True):
+    """Raise SizeCapError if a window over `rows` eigendata rows (j, k) holds
+    more than MAX_WINDOW_CANDIDATES candidates, scanning nothing."""
+    count = rows * len(_window_ms(m_max, odd_m_only)) * max(n_max, 0)
+    if count > MAX_WINDOW_CANDIDATES:
+        raise SizeCapError(f"window of {count} (m, n, j, k) candidates exceeds cap "
+                           f"{MAX_WINDOW_CANDIDATES}")
+
+
 def enumerate_critical_points(
     params: ModelParams, m_max: int, n_max: int, odd_m_only: bool = True
 ):
     """All windowed critical parameter pairs, sorted by index quadruple."""
+    rows = sum(mult for _j, _z, mult in params.eigendata.entries)
+    check_window_size(rows, m_max, n_max, odd_m_only)
     out = []
-    ms = range(1, m_max + 1, 2) if odd_m_only else range(1, m_max + 1)
-    for m in ms:
+    for m in _window_ms(m_max, odd_m_only):
         for n in range(1, n_max + 1):
             for j, k in params.eigendata.indices():
                 got = critical_point(m, n, j, k, params)

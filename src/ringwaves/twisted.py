@@ -1,12 +1,12 @@
 """Twisted orbit types of S^1 x (Z2 x Z2 x D_N) and their module algebra.
 
-A closed subgroup of S^1 x Gamma' is identified by a triple (K, phi, l):
+A twisted subgroup of S^1 x Gamma' is identified by a triple (K, phi, l):
 K <= Gamma', a homomorphism phi from K to the circle (exact rational turns,
 held as integers mod the exponent of Gamma' inside a context), and a
-folding integer l >= 0, cutting out {(z, k) : phi(k) = z^l}; l = 0 is
-reserved for the product subgroups S^1 x K (phi trivial).  Because the
-circle factor is central, conjugation only moves the (K, phi) part, so
-orbit types are Gamma'-orbits of (K, phi) pairs tagged with l; all
+folding integer l >= 1, cutting out {(z, k) : phi(k) = z^l}.  These types
+generate the twisted module on which the Burnside ring of Gamma' acts.
+Because the circle factor is central, conjugation only moves the (K, phi)
+part, so orbit types are Gamma'-orbits of (K, phi) pairs tagged with l; all
 conjugacy tests, subconjugation counts n(H, L) and finite Weyl orders
 |W(H)/S^1| are computed exactly inside Gamma'.
 """
@@ -14,7 +14,6 @@ conjugacy tests, subconjugation counts n(H, L) and finite Weyl orders
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -28,15 +27,6 @@ class TwistedOrbitType(NamedTuple):
     """Conjugacy class of a twisted subgroup: (K, phi)-class id plus folding."""
 
     kphi: int
-    l: int
-
-
-@dataclass(frozen=True)
-class TwistedSubgroup:
-    """A concrete twisted subgroup (K, phi, l) over Gamma'."""
-
-    members: frozenset  # element indices of K
-    phi: tuple  # ((elem, turn), ...) sorted by elem
     l: int
 
 
@@ -126,10 +116,8 @@ class TwistedContext:
     def type_of(self, members, phi: dict, l: int) -> TwistedOrbitType:
         """Orbit type of (K, phi, l); phi's turns may be any rationals."""
         members = frozenset(members)
-        if l < 0:
-            raise ValueError("folding must be >= 0")
-        if l == 0:
-            phi = {k: Fraction(0) for k in members}
+        if l < 1:
+            raise ValueError("folding must be >= 1")
         mul = self.group.mul
         if set(phi) != members:
             raise ValueError("phi must be defined exactly on K")
@@ -149,13 +137,6 @@ class TwistedContext:
                                 self.group.order)[0][0]
         return TwistedOrbitType(self._class_ids[key], l)
 
-    def representative(self, t: TwistedOrbitType) -> TwistedSubgroup:
-        elems, turns = self.class_keys[t.kphi]
-        if t.l == 0:
-            turns = (0,) * len(elems)
-        phi = tuple((k, Fraction(u, self.denominator)) for k, u in zip(elems, turns))
-        return TwistedSubgroup(frozenset(elems), phi, t.l)
-
     def k_class(self, kphi: int) -> int:
         return self._kclass[kphi]
 
@@ -165,16 +146,7 @@ class TwistedContext:
 
     def n_t(self, h: TwistedOrbitType, l_type: TwistedOrbitType) -> int:
         """n(H, L): conjugates of L containing H; (H) <= (L) iff it is > 0."""
-        if l_type.l == 0:
-            # K^{phi,l} <= S^1 x K' iff K <= K'.  The conjugates of (K', phi')
-            # map onto the class of K' with equal fibres, so each conjugate of
-            # K' containing K carries the same number of them
-            kh, kl = self._kclass[h.kphi], self._kclass[l_type.kphi]
-            fibre, r = divmod(len(self._conjugates[l_type.kphi]), len(self.lattice.classes[kl]))
-            if r:
-                raise ExactnessError("conjugates of (K, phi) do not cover the class of K evenly")
-            return self.lattice.n_table[kh][kl] * fibre
-        if h.l == 0 or l_type.l % h.l:
+        if l_type.l % h.l:
             return 0
         return _n_power_phase(self, h.kphi, l_type.kphi, l_type.l // h.l)
 
@@ -194,25 +166,13 @@ class TwistedSum(SparseSum):
 
     @classmethod
     def _key(cls, context, t) -> TwistedOrbitType:
-        return TwistedOrbitType(*t)
+        t = TwistedOrbitType(*t)
+        if not 0 <= t.kphi < context.n_types or t.l < 1:
+            raise ValueError(f"unknown twisted type {t}")
+        return t
 
     def _label(self, t: TwistedOrbitType) -> str:
         return self.owner.type_str(t)
-
-
-def fold(s: int, a: TwistedSum) -> TwistedSum:
-    """Pull back every orbit type through the s-folding circle map.
-
-    The preimage of K^{phi,l} under (z, g) -> (z^s, g) is K^{phi, s*l}, so
-    folding just rescales the folding tag; it is Z-linear and multiplicative
-    in s.
-    """
-    if s < 1:
-        raise ValueError("folding must be >= 1")
-    return TwistedSum(
-        a.owner,
-        tuple(sorted((TwistedOrbitType(t.kphi, s * t.l), v) for t, v in a.coeffs)),
-    )
 
 
 def module_product(a: BurnsideElement, b: TwistedSum) -> TwistedSum:

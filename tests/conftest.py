@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
+from ringwaves.groups import gamma_prime_lattice
 from ringwaves.twisted import twisted_context
+
+from oracles.groups import dihedral_lattice
 
 # the same examples on every run, and no per-example time limit on a loaded box
 settings.register_profile("deterministic", derandomize=True, deadline=None)

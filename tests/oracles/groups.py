@@ -1,7 +1,7 @@
 """The element dataclasses' own product and the Cayley table built from it,
 subgroups counted by brute force (independent of the Goursat listing in
-`ringwaves.groups.enumerate_subgroups`), and small set-level helpers that
-only tests use.
+`ringwaves.groups.enumerate_subgroups`), the subgroup lattice of D_N alone,
+and small set-level helpers that only tests use.
 
 Production multiplies element indices by the closed form
 `ringwaves.groups.mul_index`.  Everything here multiplies the dataclasses
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 
+from ringwaves import groups
 from ringwaves.groups import DihedralElement, FiniteGroup, GammaPrimeElement, SubgroupClassLattice
 
 
@@ -123,3 +124,10 @@ def conj_set(group: FiniteGroup, g: int, sub) -> frozenset:
 def leq(lattice: SubgroupClassLattice, h: int, k: int) -> bool:
     """Subconjugation partial order (H) <= (K)."""
     return lattice.n_table[h][k] > 0
+
+
+@groups.build_once
+def dihedral_lattice(n: int) -> SubgroupClassLattice:
+    """The subgroup-class lattice of D_N, for the tests of the finite layers."""
+    groups._check_order(2 * n)  # bounds the subgroup enumeration and the n(H, K) table
+    return SubgroupClassLattice(groups.dihedral_group(n))

@@ -6,7 +6,8 @@ irrep is rebuilt here as matrices from its data alone (label, `j`, `N`, the
 dressing bit and the circle weight `m`), and a fixed dimension is the trace
 of the averaging projector over the closed group.  The closure oracle
 multiplies (Fraction, element) pairs, independent of the integer codes in
-`ringwaves.reps.circle_closure`.
+`ringwaves.reps.circle_closure`.  `permutation_isotypic` splits the ring's
+permutation representation into irreps from its fixed-vertex counts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from ringwaves.groups import DihedralElement, GammaPrimeElement
-from ringwaves.reps import DihedralIrrep, DressedIrrep, GIrrep, generated_group
+from ringwaves.reps import (
+    DihedralIrrep,
+    DressedIrrep,
+    GIrrep,
+    character_table,
+    galois_average,
+    generated_group,
+)
 
 from oracles.groups import inverse, product
 
@@ -98,3 +106,15 @@ def cycle_laplacian_matrix(N: int) -> np.ndarray:
         mat[i, (i + 1) % N] -= 1.0
         mat[i, (i - 1) % N] -= 1.0
     return mat
+
+
+def permutation_isotypic(N: int) -> dict:
+    """Nonzero multiplicities of irreps in the permutation rep (fixed-vertex counts)."""
+    group = [DihedralElement(rot, ref, N) for ref in (False, True) for rot in range(N)]
+    fixed = [sum(1 for i in range(N) if g.vertex(i) == i) for g in group]
+    out = {}
+    for ir in character_table(N):
+        m = galois_average((f * ir.trace(g, N) for f, g in zip(fixed, group)), N, len(group))
+        if m:
+            out[ir.label] = m
+    return out

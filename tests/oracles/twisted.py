@@ -1,20 +1,19 @@
 """Twisted Weyl orders and module products by brute force in a finite quotient,
-and the inflation of twisted types from a smaller ring.
+the inflation of twisted types from a smaller ring, and folding.
 
 Each twisted orbit type is realized inside Z_Q x Gamma', with all turns on
 the common denominator Q; normalizers and orbit types are then counted
-there directly.  Product-type subconjugation counts compare K bit masks of
-every conjugate.  Independent of the recurrences in `ringwaves.twisted`.
+there directly.  Independent of the recurrences in `ringwaves.twisted`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 from ringwaves.errors import ExactnessError
-from ringwaves.twisted import TwistedContext, TwistedOrbitType, _circle_homs
+from ringwaves.twisted import TwistedContext, TwistedOrbitType, TwistedSum, _circle_homs
 
 from oracles.groups import cayley
 
@@ -31,30 +30,55 @@ def is_circle_hom(group, phi: dict) -> bool:
     return all((phi[a] + phi[b] - phi[tab[a][b]]) % 1 == 0 for a in phi for b in phi)
 
 
+class Representative(NamedTuple):
+    """A concrete twisted subgroup (K, phi, l) over Gamma'."""
+
+    members: frozenset  # element indices of K
+    phi: tuple  # ((element, turn), ...) sorted by element, turns as Fractions
+    l: int
+
+
+def representative(ctx: TwistedContext, t: TwistedOrbitType) -> Representative:
+    """The canonical (K, phi) of t's class, with t's folding."""
+    elems, turns = ctx.class_keys[t.kphi]
+    phi = tuple((k, Fraction(u, ctx.denominator)) for k, u in zip(elems, turns))
+    return Representative(frozenset(elems), phi, t.l)
+
+
+def fold(s: int, a: TwistedSum) -> TwistedSum:
+    """Pull back every orbit type through the s-folding circle map.
+
+    The preimage of K^{phi,l} under (z, g) -> (z^s, g) is K^{phi, s*l}, so
+    folding just rescales the folding tag; it is Z-linear and multiplicative
+    in s.
+    """
+    if s < 1:
+        raise ValueError("folding must be >= 1")
+    return TwistedSum(
+        a.owner,
+        tuple(sorted((TwistedOrbitType(t.kphi, s * t.l), v) for t, v in a.coeffs)),
+    )
+
+
 def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
     """Common circle denominator Q so that every phi value and folding fits."""
     q = extra
     for t in types:
-        q = math.lcm(q, max(t.l, 1))
+        q = math.lcm(q, t.l)
         for turn in ctx.class_keys[t.kphi][1]:
-            q = math.lcm(q, Fraction(turn, ctx.denominator).denominator * max(t.l, 1))
+            q = math.lcm(q, Fraction(turn, ctx.denominator).denominator * t.l)
     return q
 
 
 def realize_in_quotient(ctx: TwistedContext, t: TwistedOrbitType, q: int):
     """Element set of the representative twisted subgroup inside Z_q x Gamma'."""
-    rep = ctx.representative(t)
+    rep = representative(ctx, t)
     phi = dict(rep.phi)
     out = set()
     for k in rep.members:
-        if t.l == 0:
-            for z in range(q):
+        for z in range(q):
+            if (Fraction(z * t.l, q) - phi[k]) % 1 == 0:
                 out.add((z, k))
-        else:
-            target = phi[k]
-            for z in range(q):
-                if (Fraction(z * t.l, q) - target) % 1 == 0:
-                    out.add((z, k))
     return frozenset(out)
 
 
@@ -77,8 +101,7 @@ def quotient_weyl_oracle(ctx: TwistedContext, t: TwistedOrbitType, q: int | None
     if norm_order % len(hbar):
         raise ExactnessError("quotient normalizer order not divisible by |H|")
     w = norm_order // len(hbar)
-    # for product types the circle sits inside H, so the Weyl group is finite
-    circle_order = 1 if t.l == 0 else q // t.l
+    circle_order = q // t.l  # Z_q meets H in l elements: its image in N(H)/H
     if w % circle_order:
         raise ExactnessError("quotient Weyl order not divisible by circle part")
     return w // circle_order
@@ -147,26 +170,6 @@ def _type_from_quotient_subgroup(ctx, iso, l: int, q: int) -> TwistedOrbitType:
     return ctx.type_of(members, phi, l)
 
 
-@lru_cache(maxsize=None)
-def _conjugate_kmasks(ctx: TwistedContext, kphi: int) -> list:
-    """One bit mask of K' per conjugate (K', phi') of the class kphi, the
-    conjugates found by conjugating with every element."""
-    conj = cayley(ctx.group).conj
-    elems, turns = ctx.class_keys[kphi]
-    conjugates = {frozenset((conj(c, k), t) for k, t in zip(elems, turns))
-                  for c in range(ctx.group.order)}
-    return [sum(1 << k for k, _ in pairs) for pairs in conjugates]
-
-
-def product_count_oracle(ctx: TwistedContext, h: TwistedOrbitType, l_type: TwistedOrbitType) -> int:
-    """n(H, S^1 x K') for a product type l_type: the conjugates (K', phi') of
-    its class whose K' holds the K of H, whatever H's phi and folding."""
-    if l_type.l:
-        raise ValueError("l_type must be a product type")
-    want = sum(1 << k for k in ctx.class_keys[h.kphi][0])
-    return sum(1 for mask in _conjugate_kmasks(ctx, l_type.kphi) if mask & want == want)
-
-
 def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> TwistedOrbitType:
     """Type over Gamma'_N of the preimage of a type t over Gamma'_{N/d}.
 
@@ -177,6 +180,6 @@ def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> 
     n, m = ctx.group.n, small.group.n
     if n % m:
         raise ValueError(f"{m} does not divide {n}")
-    phi = dict(small.representative(t).phi)
+    phi = dict(representative(small, t).phi)
     pulled = {i: phi[p] for i in range(ctx.group.order) if (p := i // n * m + i % n % m) in phi}
     return ctx.type_of(frozenset(pulled), pulled, t.l)

@@ -20,7 +20,7 @@ from ringwaves.bifurcation import (
     symmetry_relations,
 )
 from ringwaves.burnside import BurnsideElement, multiplication_table
-from ringwaves.degrees import basic_degree, maximal_kind_types, twisted_basic_degree
+from ringwaves.degrees import basic_degree, twisted_basic_degree
 from ringwaves.groups import gamma_prime_lattice
 from ringwaves.reps import (
     DressedIrrep,
@@ -50,9 +50,10 @@ from ringwaves.verify import (
 )
 
 from oracles.burnside import orbit_count_product
+from oracles.degrees import maximal_kind_types
 from oracles.reps import fixed_dim_projector_oracle
 from oracles.spectrum import newton_critical_oracle, winding_oracle
-from oracles.twisted import quotient_weyl_oracle
+from oracles.twisted import quotient_weyl_oracle, representative
 
 
 def _report(num: int, name: str, ok: bool, started: float):
@@ -100,7 +101,7 @@ def test_criterion_03_twisted_maximal_coefficients():
                     rep = GIrrep(m, DressedIrrep(ir, bit))
                     deg = twisted_basic_degree(rep, ctx)
                     for t in maximal_kind_types(rep, ctx):
-                        sub = ctx.representative(t)
+                        sub = representative(ctx, t)
                         pairs = [(Fraction(1, m), lat.group.elements[lat.group.identity])]
                         for k, turn in sub.phi:
                             pairs.append((turn / m, lat.group.elements[k]))

@@ -17,7 +17,7 @@ from ringwaves.bifurcation import (
     symmetry_relations,
 )
 from ringwaves.burnside import BurnsideElement
-from ringwaves.degrees import maximal_kind_types, twisted_basic_degree, twisted_fixed_dim
+from ringwaves.degrees import twisted_basic_degree, twisted_fixed_dims
 from ringwaves.errors import DegenerateParameterError
 from ringwaves.reps import DressedIrrep, GIrrep, dressing_bit, fixed_dim, isotypic_irreps
 from ringwaves.spectrum import (
@@ -29,6 +29,8 @@ from ringwaves.spectrum import (
 )
 from ringwaves.groups import gamma_prime_lattice
 from ringwaves.twisted import TwistedSum, module_product, twisted_context
+
+from oracles.degrees import maximal_kind_types
 
 
 @pytest.fixture()
@@ -216,7 +218,7 @@ def test_prediction_coefficient_closed_form(params, ctx3):
         quad = p.point.quad
         sign = rho(quad.m, quad.n, quad.j, quad.k, params, (p.point.alpha, p.point.beta))
         t = generators_to_type(ctx3, p.generators, quad.m)
-        dim = twisted_fixed_dim(ctx3, t.kphi, DressedIrrep(isotypic_irreps(3)[quad.j], dressing_bit(quad.n)))
+        dim = twisted_fixed_dims(ctx3, DressedIrrep(isotypic_irreps(3)[quad.j], dressing_bit(quad.n)))[t.kphi]
         assert p.coeff * 2 * ctx3.weyl_t(t) == sign * dim
 
 

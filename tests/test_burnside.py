@@ -7,10 +7,11 @@ import pytest
 from ringwaves import burnside, degrees, twisted
 from ringwaves.burnside import BurnsideElement, multiplication_table, multiply, solve_marks
 from ringwaves.errors import ExactnessError
-from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
+from ringwaves.groups import gamma_prime_lattice
 from ringwaves.reps import character_table
 
 from oracles.burnside import multiply_oracle, orbit_count_product, orbit_count_product_pointwise
+from oracles.groups import dihedral_lattice
 
 # class ids in the D3 lattice (descending order): 0=(D3), 1=(Z3), 2=(Z2), 3=(1)
 D3, Z3, Z2, ONE = 0, 1, 2, 3

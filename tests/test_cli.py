@@ -433,6 +433,44 @@ def test_capped_command_at_huge_n_exits_before_building_eigendata(tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, config, count", [
+    (["critical-points", "--N", "1000000", "--m-max", "5", "--n-max", "5"], None, 7500015),
+    (["critical-points", "--m-max", "1", "--n-max", "1", "--N", "1000000000"], None, 500000001),
+    (["critical-points", "--N", "3", "--m-max", "1", "--n-max", "1000000000"], None, 2000000000),
+    (["critical-points", "--N", "3", "--m-max", "1000000", "--n-max", "1", "--mode", "full"],
+     None, 2000000),
+    (["predict", "--N", "3", "--m-max", "1000000000", "--n-max", "1"], None, 1000000000),
+    # the rows of an eigendata override are the sum of its multiplicities
+    (["critical-points", "--m-max", "1", "--n-max", "400000"],
+     '{"N": 3, "eigendata": [[0, 0.0, 3]]}', 1200000),
+], ids=["N-1e6", "N-1e9", "n-max-1e9", "full-m-max-1e6", "predict-m-max-1e9", "eigendata-rows"])
+def test_huge_window_exits_before_building_eigendata(tmp_path, monkeypatch, capsys,
+                                                      argv, config, count):
+    # critical-points scanned every (m, n, j, k) of any window: --N 1000000
+    # ran 32 s, peaked at 2.4 GB and printed 181 MB
+    from ringwaves import spectrum
+
+    monkeypatch.setattr(spectrum, "cycle_laplacian_eigendata", None)
+    monkeypatch.setattr(spectrum, "critical_point", None)
+    if config:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: window of {count} (m, n, j, k) candidates "
+                                       "exceeds cap 1000000\n")
+
+
+def test_window_cap_admits_the_cap_itself():
+    # 2 rows x 1 odd m x 500000 n is the cap itself; it fails only above it
+    from ringwaves.spectrum import ModelParams, check_window_size, enumerate_critical_points
+
+    check_window_size(2, 1, 500_000)
+    with pytest.raises(ringwaves.SizeCapError):
+        check_window_size(2, 3, 500_000, odd_m_only=False)
+    with pytest.raises(ringwaves.SizeCapError, match="window of 1000002"):
+        enumerate_critical_points(ModelParams(nu=1, delta=1.0, tau=2.0, N=3), 1, 500_001)
+
+
 def test_circle_closure_limit_exits_with_its_size(tmp_path, monkeypatch, capsys):
     # the relations of --m 20000 generate a finite group of more than 1e5 elements
     monkeypatch.chdir(tmp_path)
@@ -759,6 +797,15 @@ def test_no_module_imports_numpy_at_top_level():
     assert "import numpy" in (src / "_lazy.py").read_text()  # the one deferred import
 
 
+# test-only helpers that moved to tests/oracles/, and names of the deleted
+# folding-0 and one-caller layers; src/ defines none of them
+MOVED_OR_DELETED = {
+    "maximal_kind_types", "isotropy_types", "fold", "representative", "dihedral_lattice",
+    "permutation_isotypic", "TwistedSubgroup", "twisted_fixed_dim", "_twisted_fixed_dims",
+    "_positive_dim_types",
+}
+
+
 def test_src_holds_no_oracle_and_the_exact_layers_never_load_numpy():
     # the oracles live in tests/oracles/; the exact layers reach numpy only through _lazy
     src = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
@@ -769,12 +816,14 @@ def test_src_holds_no_oracle_and_the_exact_layers_never_load_numpy():
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         defs += [t.id for n in tree.body if isinstance(n, ast.Assign)
                  for t in n.targets if isinstance(t, ast.Name)]
-        named += [(path.name, name) for name in [path.stem] + defs if "oracle" in name.lower()]
+        named += [(path.name, name) for name in [path.stem] + defs
+                  if "oracle" in name.lower() or name in MOVED_OR_DELETED]
         if path.stem in ("groups", "burnside", "reps", "twisted", "degrees", "bifurcation"):
             named += [(path.name, "_lazy") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                       and "_lazy" in [n.module] + [a.name for a in n.names]]
     assert named == []
-    assert [name for name in ringwaves.__all__ if "oracle" in name.lower()] == []
+    assert [name for name in ringwaves.__all__
+            if "oracle" in name.lower() or name in MOVED_OR_DELETED] == []
 
 
 def test_src_has_one_group_product():

@@ -7,20 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwaves.burnside import BurnsideElement
-from ringwaves.degrees import (
-    basic_degree,
-    isotropy_types,
-    linear_iso_degree,
-    maximal_kind_types,
-    twisted_basic_degree,
-    twisted_fixed_dim,
-)
-from ringwaves.groups import dihedral_lattice, gamma_prime_lattice
+from ringwaves.degrees import basic_degree, linear_iso_degree, twisted_basic_degree, twisted_fixed_dims
+from ringwaves.groups import gamma_prime_lattice
 from ringwaves.reps import DressedIrrep, GIrrep, character_table, isotypic_irreps
-from ringwaves.twisted import fold, twisted_context
+from ringwaves.twisted import twisted_context
 
 from oracles.burnside import multiply_oracle
-from oracles.twisted import inflate, quotient_weyl_oracle
+from oracles.degrees import isotropy_types, maximal_kind_types
+from oracles.groups import dihedral_lattice
+from oracles.twisted import fold, inflate, quotient_weyl_oracle
 
 
 def test_basic_degree_sign_rep_d3():
@@ -65,7 +60,7 @@ def test_twisted_degree_w1_v01_single_type(ctx3):
     assert len(mk) == 1
     t = mk[0]
     assert deg.coeff(t) == 1
-    assert twisted_fixed_dim(ctx3, t.kphi, rep.dressed) == 2
+    assert twisted_fixed_dims(ctx3, rep.dressed)[t.kphi] == 2
     assert ctx3.weyl_t(t) == 1
     assert quotient_weyl_oracle(ctx3, t) == 1
 
@@ -93,7 +88,7 @@ def test_maximal_closed_form(ctx3):
             rep = GIrrep(2, DressedIrrep(ir, bit))
             deg = twisted_basic_degree(rep, ctx3)
             for t in maximal_kind_types(rep, ctx3):
-                dim = twisted_fixed_dim(ctx3, t.kphi, rep.dressed)
+                dim = twisted_fixed_dims(ctx3, rep.dressed)[t.kphi]
                 assert 2 * ctx3.weyl_t(t) * deg.coeff(t) == dim
 
 
@@ -114,7 +109,7 @@ def test_maximal_twisted_coefficients_equal_dim_over_twice_weyl(case):
     types = maximal_kind_types(rep, ctx)
     assert types
     for t in types:
-        dim = twisted_fixed_dim(ctx, t.kphi, rep.dressed)
+        dim = twisted_fixed_dims(ctx, rep.dressed)[t.kphi]
         assert 2 * quotient_weyl_oracle(ctx, t) * deg.coeff(t) == dim, (n, ir.label, bit, m)
 
 
@@ -158,7 +153,7 @@ def test_isotropy_types_have_positive_dims(ctx3):
 # the rotation to exp(2 pi i j / N), so every isotropy holds the kernel <g^(N/d)>
 INFLATION_POINTS = [
     (N, j, bit, m)
-    for N in (6, 8, 9, 10, 12)
+    for N in (6, 8, 9, 10, 12, 15, 18, 24)
     for j in range(1, N // 2 + 1)
     if math.gcd(N, j) > 1 and N // math.gcd(N, j) >= 3
     for bit in (0, 1)

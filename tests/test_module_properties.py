@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from ringwaves.burnside import BurnsideElement, multiply
 from ringwaves.groups import gamma_prime_lattice
-from ringwaves.twisted import TwistedSum, fold, module_product, twisted_context
+from ringwaves.twisted import TwistedSum, module_product, twisted_context
 
 from oracles.burnside import orbit_count_product
+from oracles.twisted import fold
 
 coeffs = st.sampled_from((-2, -1, 1, 2))
 

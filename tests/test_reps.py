@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ringwaves.groups import (
     DihedralElement,
     GammaPrimeElement,
-    dihedral_lattice,
     gamma_prime,
 )
 from ringwaves.reps import (
@@ -25,11 +24,11 @@ from ringwaves.reps import (
     fixed_dim,
     generated_group,
     isotypic_irreps,
-    permutation_isotypic,
 )
 
 from float_characters import char_inner, permutation_character
-from oracles.reps import cycle_laplacian_matrix, fixed_dim_projector_oracle
+from oracles.groups import dihedral_lattice
+from oracles.reps import cycle_laplacian_matrix, fixed_dim_projector_oracle, permutation_isotypic
 
 
 def test_character_counts():
