@@ -28,7 +28,6 @@ from .groups import (
     DihedralElement,
     FiniteGroup,
     GammaPrimeElement,
-    Subgroup,
     SubgroupClassLattice,
     dihedral_group,
     enumerate_subgroups,

@@ -156,7 +156,9 @@ def maximal_orbit_generators(N: int, m: int, n: int, j: int) -> dict:
             # even reduced order: both reflection types are plain, distinguished
             # by the reflection's phase on the rotation eigenvector (1 for T,
             # the primitive one for S), and share the half-turn traveling step
-            step = (ntilde // 2) * h % N
+            # gamma^(ntilde/2): it acts by -1 on the block, and its square
+            # generates the block's rotation kernel <gamma^ntilde>
+            step = ntilde // 2
             travel2 = (Fraction(1, 2 * m), GammaPrimeElement(1, 1, DihedralElement(step, False, N)))
             out["T"] = OrbitGenerators(
                 "T",
@@ -181,7 +183,7 @@ def generators_to_type(ctx: TwistedContext, gens: OrbitGenerators, m: int):
         raise ValueError("generators and context have different ring sizes")
     q, pairs = circle_closure(gens.elements)
     phi = {idx: Fraction(m * t % q, q) for t, idx in pairs}
-    return ctx.type_of(frozenset(phi), phi, m)
+    return ctx.type_of(phi, m)
 
 
 def symmetry_relations(gens: OrbitGenerators, *legacy):
@@ -327,9 +329,16 @@ def predict_branches(
             )
             continue
         gen_map = maximal_orbit_generators(params.N, s, cp.quad.n, cp.quad.j)
+        rep = _block_irrep(params.N, s, cp.quad.n, cp.quad.j)
+        block = twisted_basic_degree(rep, ctx)
         for kind in sorted(gen_map):
             gens = gen_map[kind]
             t = generators_to_type(ctx, gens, s)
+            # a maximal isotropy type has coefficient dim Fix / (2 |W(H)/S^1|) > 0
+            # in its block's degree, so a zero means the generators are wrong
+            if block.coeff(t) == 0:
+                raise ExactnessError(f"{kind}-generators give a type outside the twisted "
+                                     f"basic degree of {rep.label}")
             coeff = inv.value.coeff(t)
             if coeff == 0:
                 continue

@@ -110,7 +110,7 @@ class BurnsideElement(SparseSum):
 
     @staticmethod
     def one(lattice) -> "BurnsideElement":
-        return BurnsideElement.generator(lattice, lattice.full_class())
+        return BurnsideElement.generator(lattice, 0)  # class 0 is the full group
 
     def __mul__(self, other):
         if isinstance(other, BurnsideElement):

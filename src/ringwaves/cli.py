@@ -178,9 +178,7 @@ def _load_config(args) -> RunConfig:
         raise ValueError("alpha and beta must be given together")
     _check_rows("zeta_table", cfg.zeta_table, 2)
     _check_rows("eigendata", cfg.eigendata, 3)
-    # an N-component field holds each isotypic block at most N times, and
-    # each block once: a second row for j would be a second z for one block
-    seen = set()
+    # an N-component field holds each isotypic block at most N times
     for row in cfg.eigendata or ():
         j, z, mult = row
         if not (isinstance(j, int) and isinstance(mult, int)
@@ -189,9 +187,6 @@ def _load_config(args) -> RunConfig:
                              f"and an integer multiplicity in 1..{cfg.N}")
         if not 0 <= z <= sys.float_info.max:
             raise ValueError(f"eigendata row {row} needs a finite eigenvalue z >= 0")
-        if j in seen:
-            raise ValueError(f"eigendata lists isotypic index {j} twice")
-        seen.add(j)
     return cfg
 
 
@@ -423,7 +418,7 @@ def cmd_group_tables(cfg: RunConfig) -> int:
         writer.writerow(["class", "order", "weyl", "representative"])
         for c in range(lattice.n_classes):
             rep = lattice.reps[c]
-            writer.writerow([c, rep.order, lattice.weyl[c], " ".join(map(str, rep.elems))])
+            writer.writerow([c, len(rep), lattice.weyl[c], " ".join(map(str, rep))])
     with (outdir / "subconjugation.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["H", "K", "n(H,K)"])

@@ -24,8 +24,7 @@ def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
     multiple of every element's order, so characters live in Q(zeta_|G|)."""
     L = lattice.group.order
     traces = [rep.trace(g, L) for g in lattice.group.elements]
-    return [galois_average(map(traces.__getitem__, sub.elems), L, sub.order)
-            for sub in lattice.reps]
+    return [galois_average(map(traces.__getitem__, sub), L, len(sub)) for sub in lattice.reps]
 
 
 @lru_cache(maxsize=None)

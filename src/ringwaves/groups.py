@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ExactnessError, SizeCapError
 
@@ -187,26 +187,6 @@ def gamma_prime(n: int) -> FiniteGroup:
     return FiniteGroup(n, signs=True)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a sorted tuple of element indices."""
-
-    elems: tuple
-    members: frozenset = field(compare=False, hash=False, repr=False, default=None)
-
-    @staticmethod
-    def from_set(s) -> "Subgroup":
-        fs = frozenset(s)
-        return Subgroup(tuple(sorted(fs)), fs)
-
-    @property
-    def order(self) -> int:
-        return len(self.elems)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-
 def _check_order(order: int):
     if order > DEFAULT_SUBGROUP_CAP:
         raise SizeCapError(f"group order {order} exceeds cap {DEFAULT_SUBGROUP_CAP}")
@@ -233,7 +213,8 @@ def enumerate_subgroups(group: FiniteGroup):
     abelian, the triple is A1 with a homomorphism psi: D2 -> A/A1 (D1 its
     kernel, A2/A1 its image), and the subgroup is {(a, d) : a in psi(d)}.
     psi is fixed by u = psi(g^s), which must be trivial for odd d, and, for
-    a dihedral D2, v = psi(g^i k).  Sorted by (order, element tuple).
+    a dihedral D2, v = psi(g^i k).  Each subgroup is the sorted tuple of its
+    element indices, and the list is sorted by (order, tuple).
     """
     _check_order(group.order)
     n, n_signs = group.n, group.order // (2 * group.n)
@@ -254,8 +235,8 @@ def enumerate_subgroups(group: FiniteGroup):
                         if v is not None:
                             members += (((a ^ shift ^ v) * 2 + 1) * n + (k * s + i) % n
                                         for a in a1)
-                    subs.append(Subgroup.from_set(members))
-    return sorted(subs, key=lambda s: (s.order, s.elems))
+                    subs.append(tuple(sorted(members)))
+    return sorted(subs, key=lambda s: (len(s), s))
 
 
 def conjugacy_classes(conjugations, seeds, order):
@@ -304,6 +285,8 @@ def graph_mask(elems, tags, width=1) -> int:
 class SubgroupClassLattice:
     """Conjugacy classes of subgroups with Weyl orders and n(H, K) counts.
 
+    A subgroup is the sorted tuple of its element indices: `subgroups` lists
+    them all, `reps` one per class, and `class_id` maps each to its class.
     Classes are totally ordered by descending subgroup order with ties broken
     by the class representative's minimal element tuple; this refines the
     subconjugation partial order, so index 0 is the full group and all ring
@@ -312,29 +295,23 @@ class SubgroupClassLattice:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.subgroups = enumerate_subgroups(group)
-        self.subgroup_ids = {s.elems: i for i, s in enumerate(self.subgroups)}
+        self.subgroups = tuple(enumerate_subgroups(group))
 
         # per conjugator c of the group, the permutation h -> c h c^-1
         self.conjugations = [
             tuple(group.conj(c, h) for h in range(group.order)) for c in group.conjugators
         ]
         found = conjugacy_classes(
-            self.conjugations, [(s.elems, (0,) * s.order) for s in self.subgroups], group.order
+            self.conjugations, [(s, (0,) * len(s)) for s in self.subgroups], group.order
         )
-        self.classes = [sorted(self.subgroup_ids[elems] for elems, _ in orbit)
-                        for _, orbit, _ in found]
-        self.reps = [self.subgroups[self.subgroup_ids[key[0]]] for key, _, _ in found]
+        self.reps = tuple(key[0] for key, _, _ in found)
         self.weyl = [weyl for *_, weyl in found]
-        self.n_classes = len(self.classes)
-        self.class_of_subgroup = [0] * len(self.subgroups)
-        for c, ids in enumerate(self.classes):
-            for i in ids:
-                self.class_of_subgroup[i] = c
+        self.n_classes = len(self.reps)
+        self._class_of = {elems: c for c, (_, orbit, _) in enumerate(found) for elems, _ in orbit}
 
         # n[h][k] = number of conjugates of the class-k rep that contain rep h
         masks = [[graph_mask(*key) for key in orbit] for _, orbit, _ in found]
-        orders = [rep.order for rep in self.reps]
+        orders = [len(rep) for rep in self.reps]
         self.n_table = tuple(
             tuple(sum(1 for m in masks[k] if m & want == want) if order % orders[h] == 0 else 0
                   for k, order in enumerate(orders))
@@ -346,16 +323,11 @@ class SubgroupClassLattice:
 
     def class_id(self, members) -> int:
         """Class of an explicit subgroup element set; KeyError if not a subgroup."""
-        return self.class_of_subgroup[self.subgroup_ids[tuple(sorted(members))]]
-
-    def full_class(self) -> int:
-        return 0
+        return self._class_of[tuple(sorted(members))]
 
     def class_label(self, c: int) -> str:
         rep = self.reps[c]
-        return f"|{rep.order}|" + ",".join(str(e) for e in rep.elems[:6]) + (
-            ",..." if rep.order > 6 else ""
-        )
+        return f"|{len(rep)}|" + ",".join(map(str, rep[:6])) + (",..." if len(rep) > 6 else "")
 
 
 def build_once(build):

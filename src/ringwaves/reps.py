@@ -259,12 +259,16 @@ class LaplacianEigendata:
     """Eigenvalues z_{j,k} >= 0 of an invariant coupling Laplacian."""
 
     entries: tuple  # tuple of (j, z, multiplicity)
-    _by_j: dict = field(init=False, repr=False, compare=False)  # j -> (z, mult), first row wins
+    _by_j: dict = field(init=False, repr=False, compare=False)  # j -> (z, mult)
 
     def __post_init__(self):
         by_j = {}
         for j, z, mult in self.entries:
-            by_j.setdefault(j, (z, mult))
+            # each isotypic block has one eigenvalue: a second row for j
+            # would be a second z for one block
+            if j in by_j:
+                raise ValueError(f"eigendata lists isotypic index {j} twice")
+            by_j[j] = (z, mult)
         object.__setattr__(self, "_by_j", by_j)
 
     def z(self, j: int, k: int = 1) -> float:

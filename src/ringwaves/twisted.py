@@ -41,8 +41,9 @@ def _commutator_subgroup(group, gens) -> frozenset:
     return frozenset(comm)
 
 
-def _circle_homs(group, members):
-    """All homomorphisms K -> S^1 as (q, [{element: turn mod q}, ...]).
+def _circle_homs(group, elems):
+    """All homomorphisms K -> S^1 as (q, [{element: turn mod q}, ...]); K is
+    the sorted tuple `elems` of its element indices.
 
     A homomorphism K -> S^1 factors through K^ab = K / [K, K].  Greedy
     generators a_1..a_r of K^ab grow a chain [K, K] = B_0 < ... < B_r = K,
@@ -55,9 +56,9 @@ def _circle_homs(group, members):
     phi(a_i^e b) = e t + phi(b).
     """
     mul = group.mul
-    comm = _commutator_subgroup(group, group.generators(sorted(members)))
+    comm = _commutator_subgroup(group, group.generators(elems))
     chain, levels = comm, []  # levels: (a_i, triples, a_i^o_i, o_i)
-    for x in sorted(members):
+    for x in elems:
         if x not in chain:
             powers, y = [group.identity], x
             while y not in chain:
@@ -90,7 +91,7 @@ class TwistedContext:
     keys (`class_keys`, indexed by class id) are (K tuple, turn tuple) pairs.
     Turns leave as Fraction(t, L).  Since t -> t / L is monotone on 0..L-1,
     integer keys order as the Fraction keys would.  Nothing changes after
-    construction; `type_of` is the one way in from an explicit (K, phi, l).
+    construction; `type_of` is the one way in from an explicit (phi, l).
     """
 
     def __init__(self, lattice: SubgroupClassLattice):
@@ -99,8 +100,8 @@ class TwistedContext:
         self.denominator = L = math.lcm(g.n, 2)  # the exponent of D_N and of Z2 x Z2 x D_N
         seeds = []  # every phi on every class rep K, as a (K tuple, turn tuple) key
         for rep in lattice.reps:
-            q, homs = _circle_homs(g, rep.elems)
-            seeds += ((rep.elems, tuple(phi[k] * (L // q) for k in rep.elems)) for phi in homs)
+            q, homs = _circle_homs(g, rep)
+            seeds += ((rep, tuple(phi[k] * (L // q) for k in rep)) for phi in homs)
         found = conjugacy_classes(lattice.conjugations, seeds, g.order)
         self.class_keys = tuple(key for key, _, _ in found)  # canonical (K, turns) per class id
         self._class_ids = {key: i for i, key in enumerate(self.class_keys)}
@@ -113,18 +114,22 @@ class TwistedContext:
     def n_types(self) -> int:
         return len(self.class_keys)
 
-    def type_of(self, members, phi: dict, l: int) -> TwistedOrbitType:
-        """Orbit type of (K, phi, l); phi's turns may be any rationals."""
-        members = frozenset(members)
+    def type_of(self, phi: dict, l: int) -> TwistedOrbitType:
+        """Orbit type of (K, phi, l), K being phi's domain; phi's turns may be
+        any rationals."""
         if l < 1:
             raise ValueError("folding must be >= 1")
         mul = self.group.mul
-        if set(phi) != members:
-            raise ValueError("phi must be defined exactly on K")
-        for a in members:
-            for b in members:
-                if (phi[a] + phi[b] - phi[mul(a, b)]) % 1 != 0:
-                    raise ValueError("phi is not a homomorphism")
+        if self.group.identity not in phi:
+            raise ValueError("phi's domain is not a subgroup: it misses the identity")
+        try:
+            for a in phi:
+                for b in phi:
+                    if (phi[a] + phi[b] - phi[mul(a, b)]) % 1 != 0:
+                        raise ValueError("phi is not a homomorphism")
+        except KeyError:
+            raise ValueError("phi's domain is not a subgroup: it is not closed under the "
+                             "product") from None
         L = self.denominator
         elems = tuple(sorted(phi))
         turns = []

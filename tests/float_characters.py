@@ -75,7 +75,7 @@ def fixed_dim(rep, pairs) -> int:
 def class_fixed_dims(lattice, rep) -> list:
     """dim V^H for every subgroup class of `lattice`."""
     chars = [dressed_char(rep, g) for g in lattice.group.elements]
-    return [_rounded(sum(chars[k] for k in sub.elems) / sub.order) for sub in lattice.reps]
+    return [_rounded(sum(chars[k] for k in sub) / len(sub)) for sub in lattice.reps]
 
 
 def twisted_fixed_dims(ctx, rep) -> list:

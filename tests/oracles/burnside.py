@@ -28,9 +28,8 @@ def orbit_count_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
     group = lat.group
     oracle = cayley(group)
     tab, inv = oracle.table, oracle.inverse
-    hs = lat.reps[h].elems
-    ks = lat.reps[k].elems
-    hset = lat.reps[h].members
+    hs, ks = lat.reps[h], lat.reps[k]
+    hset = frozenset(hs)
     counts: dict = {}
     visited = bytearray(group.order)
     for g in range(group.order):
@@ -56,18 +55,18 @@ def orbit_count_product_pointwise(lat: SubgroupClassLattice, h: int, k: int) -> 
     """
     group = lat.group
     hrep, krep = lat.reps[h], lat.reps[k]
-    h_cosets = _cosets(group, hrep.elems)
-    k_cosets = _cosets(group, krep.elems)
+    h_cosets = _cosets(group, hrep)
+    k_cosets = _cosets(group, krep)
     per_class_points: dict = {}
     for a in h_cosets:
-        ah = conj_set(group, a, hrep.elems)
+        ah = conj_set(group, a, hrep)
         for b in k_cosets:
-            bk = conj_set(group, b, krep.elems)
+            bk = conj_set(group, b, krep)
             cid = lat.class_id(ah & bk)
             per_class_points[cid] = per_class_points.get(cid, 0) + 1
     out = {}
     for cid, pts in per_class_points.items():
-        size = lat.reps[cid].order
+        size = len(lat.reps[cid])
         total = pts * size
         if total % group.order:
             raise AssertionError("orbit sizes do not tile the point count")

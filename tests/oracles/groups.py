@@ -1,7 +1,8 @@
 """The element dataclasses' own product and the Cayley table built from it,
 subgroups counted by brute force (independent of the Goursat listing in
 `ringwaves.groups.enumerate_subgroups`), the subgroup lattice of D_N alone,
-and small set-level helpers that only tests use.
+the inflation of subgroup classes from a quotient ring, and small set-level
+helpers that only tests use.
 
 Production multiplies element indices by the closed form
 `ringwaves.groups.mul_index`.  Everything here multiplies the dataclasses
@@ -131,3 +132,17 @@ def dihedral_lattice(n: int) -> SubgroupClassLattice:
     """The subgroup-class lattice of D_N, for the tests of the finite layers."""
     groups._check_order(2 * n)  # bounds the subgroup enumeration and the n(H, K) table
     return SubgroupClassLattice(groups.dihedral_group(n))
+
+
+def quotient_index(i: int, n: int, m: int) -> int:
+    """Image of index i of Gamma'_n in Gamma'_m, m | n, under the quotient by
+    the rotations g^m: index h*n + r goes to h*m + r mod m."""
+    return i // n * m + i % n % m
+
+
+def inflate_class(lattice: SubgroupClassLattice, small: SubgroupClassLattice, c: int) -> int:
+    """Class in `lattice` of the preimage of `small`'s class-c representative,
+    `small` being the lattice of a quotient Gamma'_{N/d} of Gamma'_N."""
+    n, m = lattice.group.n, small.group.n
+    rep = set(small.reps[c])
+    return lattice.class_id(i for i in range(lattice.group.order) if quotient_index(i, n, m) in rep)

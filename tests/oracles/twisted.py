@@ -15,12 +15,13 @@ from typing import NamedTuple
 from ringwaves.errors import ExactnessError
 from ringwaves.twisted import TwistedContext, TwistedOrbitType, TwistedSum, _circle_homs
 
-from oracles.groups import cayley
+from oracles.groups import cayley, quotient_index
 
 
-def hom_to_circle(group, members) -> list[dict]:
-    """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions)."""
-    q, homs = _circle_homs(group, members)
+def hom_to_circle(group, elems) -> list[dict]:
+    """All homomorphisms K -> S^1 as {element: turn} dicts (exact Fractions);
+    K is the sorted tuple `elems`."""
+    q, homs = _circle_homs(group, elems)
     return [{k: Fraction(t, q) for k, t in phi.items()} for phi in homs]
 
 
@@ -31,9 +32,8 @@ def is_circle_hom(group, phi: dict) -> bool:
 
 
 class Representative(NamedTuple):
-    """A concrete twisted subgroup (K, phi, l) over Gamma'."""
+    """A concrete twisted subgroup (K, phi, l) over Gamma'; K is phi's domain."""
 
-    members: frozenset  # element indices of K
     phi: tuple  # ((element, turn), ...) sorted by element, turns as Fractions
     l: int
 
@@ -42,7 +42,7 @@ def representative(ctx: TwistedContext, t: TwistedOrbitType) -> Representative:
     """The canonical (K, phi) of t's class, with t's folding."""
     elems, turns = ctx.class_keys[t.kphi]
     phi = tuple((k, Fraction(u, ctx.denominator)) for k, u in zip(elems, turns))
-    return Representative(frozenset(elems), phi, t.l)
+    return Representative(phi, t.l)
 
 
 def fold(s: int, a: TwistedSum) -> TwistedSum:
@@ -72,12 +72,10 @@ def _quotient_denominator(ctx: TwistedContext, types, extra: int = 1) -> int:
 
 def realize_in_quotient(ctx: TwistedContext, t: TwistedOrbitType, q: int):
     """Element set of the representative twisted subgroup inside Z_q x Gamma'."""
-    rep = representative(ctx, t)
-    phi = dict(rep.phi)
     out = set()
-    for k in rep.members:
+    for k, turn in representative(ctx, t).phi:
         for z in range(q):
-            if (Fraction(z * t.l, q) - phi[k]) % 1 == 0:
+            if (Fraction(z * t.l, q) - turn) % 1 == 0:
                 out.add((z, k))
     return frozenset(out)
 
@@ -129,8 +127,7 @@ def module_product_oracle(
     def invq(a):
         return ((-a[0]) % q, inv[a[1]])
 
-    kmembers = ctx.lattice.reps[kcls].members
-    prod_sub = frozenset((z, k) for z in range(q) for k in kmembers)
+    prod_sub = frozenset((z, k) for z in range(q) for k in ctx.lattice.reps[kcls])
     hbar = realize_in_quotient(ctx, h, q)
     elems = [(z, k) for z in range(q) for k in range(g.order)]
 
@@ -163,11 +160,7 @@ def module_product_oracle(
 
 
 def _type_from_quotient_subgroup(ctx, iso, l: int, q: int) -> TwistedOrbitType:
-    members = frozenset(k for _z, k in iso)
-    phi = {}
-    for z, k in iso:
-        phi[k] = Fraction(z * l, q) % 1
-    return ctx.type_of(members, phi, l)
+    return ctx.type_of({k: Fraction(z * l, q) % 1 for z, k in iso}, l)
 
 
 def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> TwistedOrbitType:
@@ -181,5 +174,5 @@ def inflate(ctx: TwistedContext, small: TwistedContext, t: TwistedOrbitType) -> 
     if n % m:
         raise ValueError(f"{m} does not divide {n}")
     phi = dict(representative(small, t).phi)
-    pulled = {i: phi[p] for i in range(ctx.group.order) if (p := i // n * m + i % n % m) in phi}
-    return ctx.type_of(frozenset(pulled), pulled, t.l)
+    pulled = {i: phi[p] for i in range(ctx.group.order) if (p := quotient_index(i, n, m)) in phi}
+    return ctx.type_of(pulled, t.l)

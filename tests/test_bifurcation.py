@@ -124,10 +124,12 @@ def test_generators_have_positive_fixed_dim():
                         assert fixed_dim(rep, gens.elements) > 0
 
 
-@pytest.mark.parametrize("n_ring", range(3, 9))
+@pytest.mark.parametrize("n_ring", [*range(3, 9), 24])
 def test_generator_types_match_maximal_kinds(n_ring):
     # the exhaustive check of the emitted generator lists: at run time they
-    # are only required to fix a nonzero vector
+    # must fix a nonzero vector and have a nonzero coefficient in their
+    # block's degree; at N = 24, j = 9 (the only such blocks up to the cap)
+    # the half-turn step gamma^12 once missed the rotation kernel gamma^8
     ctx = twisted_context(gamma_prime_lattice(n_ring))
     for m in (1, 2):
         for n in (1, 2):

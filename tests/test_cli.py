@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import ringwaves
 from ringwaves import bifurcation, cli, verify
 from ringwaves.cli import main
+from ringwaves.groups import DihedralElement
 from ringwaves.verify import eigenfunction
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +73,16 @@ def test_predict_n7_kinds(capsys):
     kinds = [b["kind"] for b in entry[0]["branches"]]
     assert kinds == ["H", "S", "T"]
     assert all(b["unbounded"] and b["non_stationary"] for b in entry[0]["branches"])
+
+
+def test_predict_n24_reports_every_maximal_kind_at_j9(capsys):
+    # the half-turn step of S and T was gamma^12 here, whose square is e and
+    # so misses the rotation kernel gamma^8: both types fell below the maximal
+    # ones, with coefficient 0, and only H was reported
+    code, out = run(capsys, "predict", "--N", "24", "--m-max", "1", "--n-max", "1")
+    assert code == 0
+    points = {(p["m"], p["n"], p["j"]): p for p in json.loads(out)["critical_points"]}
+    assert [b["kind"] for b in points[1, 1, 9]["branches"]] == ["H", "S", "T"]
 
 
 def test_invariant_subcommand(capsys):
@@ -491,6 +502,28 @@ def test_internal_check_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_predict_exits_3_on_a_kind_outside_its_block_degree(monkeypatch, capsys):
+    # T at (N, j) = (6, 2) without its kernel generator gamma^3 still fixes a
+    # vector, but its type lies below the maximal one and has coefficient 0 in
+    # the block's degree: predict stops instead of dropping the branch
+    real = bifurcation.maximal_orbit_generators
+
+    def without_kernel(N, m, n, j):
+        gens = real(N, m, n, j)
+        if j == 2:
+            *rest, kernel = gens["T"].elements
+            assert kernel[1].dihedral == DihedralElement(3, False, 6)
+            gens["T"] = bifurcation.OrbitGenerators("T", tuple(rest))
+        return gens
+
+    monkeypatch.setattr(bifurcation, "maximal_orbit_generators", without_kernel)
+    assert main(["predict", "--N", "6", "--m-max", "1", "--n-max", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal consistency failure: T-generators give a type outside "
+                            "the twisted basic degree of W1xgeom2^0\n")
+
+
 def _readme_commands():
     """argv of each `ringwaves ...` line of the README's command-line block."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -798,11 +831,11 @@ def test_no_module_imports_numpy_at_top_level():
 
 
 # test-only helpers that moved to tests/oracles/, and names of the deleted
-# folding-0 and one-caller layers; src/ defines none of them
+# folding-0, one-caller and subgroup-record layers; src/ defines none of them
 MOVED_OR_DELETED = {
     "maximal_kind_types", "isotropy_types", "fold", "representative", "dihedral_lattice",
     "permutation_isotypic", "TwistedSubgroup", "twisted_fixed_dim", "_twisted_fixed_dims",
-    "_positive_dim_types",
+    "_positive_dim_types", "Subgroup", "from_set", "full_class",
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringwaves.bifurcation import generators_to_type, maximal_orbit_generators
 from ringwaves.burnside import BurnsideElement
 from ringwaves.degrees import basic_degree, linear_iso_degree, twisted_basic_degree, twisted_fixed_dims
 from ringwaves.groups import gamma_prime_lattice
@@ -14,7 +15,7 @@ from ringwaves.twisted import twisted_context
 
 from oracles.burnside import multiply_oracle
 from oracles.degrees import isotropy_types, maximal_kind_types
-from oracles.groups import dihedral_lattice
+from oracles.groups import dihedral_lattice, inflate_class
 from oracles.twisted import fold, inflate, quotient_weyl_oracle
 
 
@@ -171,3 +172,28 @@ def test_twisted_basic_degree_is_inflated_from_the_quotient_ring(N, j, bit, m):
     assert len(want) == len(quotient.coeffs)
     got = twisted_basic_degree(GIrrep(m, DressedIrrep(isotypic_irreps(N)[j], bit)), ctx)
     assert got.as_dict() == want
+
+
+@pytest.mark.parametrize("N, j, bit", sorted({point[:3] for point in INFLATION_POINTS}))
+def test_basic_degree_is_inflated_from_the_quotient_ring(N, j, bit):
+    d = math.gcd(N, j)
+    lat, small = gamma_prime_lattice(N), gamma_prime_lattice(N // d)
+    quotient = basic_degree(DressedIrrep(isotypic_irreps(N // d)[j // d], bit), small)
+    want = {inflate_class(lat, small, c): v for c, v in quotient.coeffs}
+    assert len(want) == len(quotient.coeffs)
+    assert basic_degree(DressedIrrep(isotypic_irreps(N)[j], bit), lat).as_dict() == want
+
+
+@pytest.mark.parametrize("N, j, bit, m", INFLATION_POINTS)
+def test_generator_types_are_inflated_from_the_quotient_ring(N, j, bit, m):
+    # each kind's generators at (N, j) give the preimage of its type at (N/d, j/d)
+    d = math.gcd(N, j)
+    ctx = twisted_context(gamma_prime_lattice(N))
+    small = twisted_context(gamma_prime_lattice(N // d))
+    n = 2 - bit  # dressing_bit(n) == bit
+    gens = maximal_orbit_generators(N, m, n, j)
+    quotient = maximal_orbit_generators(N // d, m, n, j // d)
+    assert gens.keys() == quotient.keys()
+    for kind, g in gens.items():
+        want = inflate(ctx, small, generators_to_type(small, quotient[kind], m))
+        assert generators_to_type(ctx, g, m) == want, kind

@@ -157,7 +157,7 @@ def test_lattice_cap_comes_before_the_cayley_table(monkeypatch):
 def test_d3_class_lattice():
     lat = SubgroupClassLattice(dihedral_group(3))
     assert lat.n_classes == 4
-    orders = [rep.order for rep in lat.reps]
+    orders = [len(rep) for rep in lat.reps]
     assert orders == [6, 3, 2, 1]  # descending total order
     # |W(Z3)| = 2 since Z3 is normal
     assert lat.weyl[1] == 2
@@ -170,7 +170,7 @@ def test_conjugacy_classes_of_tagged_keys_in_d3():
     # D_3 = {g^r} (0..2) and {g^r k} (3..5): a subgroup is the key (K, zeros);
     # tags move with K's elements, and k swaps g and g^2
     lat = SubgroupClassLattice(dihedral_group(3))
-    seeds = [(s.elems, (0,) * s.order) for s in lat.subgroups]
+    seeds = [(s, (0,) * len(s)) for s in lat.subgroups]
     seeds += [((0, 3), (0, 1)), ((0, 1, 2), (0, 2, 1)), ((0, 1, 2), (0, 1, 2))]
     got = [(key, len(orbit), weyl)
            for key, orbit, weyl in conjugacy_classes(lat.conjugations, seeds, 6)]
@@ -195,7 +195,7 @@ def test_weyl_divisibility_and_n_diagonal():
             assert lat.weyl[c] >= 1
         for h in range(lat.n_classes):
             for k in range(lat.n_classes):
-                if lat.reps[k].order < lat.reps[h].order:
+                if len(lat.reps[k]) < len(lat.reps[h]):
                     assert lat.n(h, k) == 0
                 if not leq(lat, h, k):
                     assert lat.n(h, k) == 0
@@ -212,10 +212,21 @@ def test_total_order_refines_partial_order():
 def test_conjugation_permutes_subgroups():
     group = gamma_prime(3)
     subs = enumerate_subgroups(group)
-    all_sets = {s.members for s in subs}
+    all_sets = set(map(frozenset, subs))
     for g in range(0, group.order, 5):
-        image = {conj_set(group, g, s.elems) for s in subs}
+        image = {conj_set(group, g, s) for s in subs}
         assert image == all_sets
+
+
+def test_a_subgroup_is_its_sorted_index_tuple():
+    lat = SubgroupClassLattice(gamma_prime(4))
+    assert type(lat.subgroups) is tuple and type(lat.reps) is tuple
+    assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in lat.subgroups)
+    assert set(lat.reps) <= set(lat.subgroups)
+    assert [lat.class_id(rep) for rep in lat.reps] == list(range(lat.n_classes))
+    assert lat.class_id(frozenset(range(lat.group.order))) == 0  # class 0 is the full group
+    gone = ("subgroup_ids", "classes", "class_of_subgroup", "full_class")
+    assert [name for name in gone if hasattr(lat, name)] == []
 
 
 def test_class_id_lookup_rejects_non_subgroup():

@@ -148,9 +148,7 @@ def test_fixed_dim_matches_projector_oracle_all_subgroups():
     for n in (3, 4, 5, 6):
         lat = dihedral_lattice(n)
         for sub in lat.subgroups:
-            gens = [
-                GammaPrimeElement(1, 1, lat.group.elements[i]) for i in sub.elems
-            ]
+            gens = [GammaPrimeElement(1, 1, lat.group.elements[i]) for i in sub]
             for ir in character_table(n):
                 rep = DressedIrrep(ir, 0)
                 assert fixed_dim(rep, gens) == fixed_dim_projector_oracle(rep, gens)
@@ -183,7 +181,7 @@ def test_laplacian_multiplicity_bounds():
 
 
 def _scan_z(entries, j, k):
-    """The lookup as a linear scan over the rows: the first row of j wins."""
+    """The lookup as a linear scan over the rows, one row per j."""
     for jj, z, mult in entries:
         if jj == j:
             if not 1 <= k <= mult:
@@ -199,8 +197,10 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
+# LaplacianEigendata rejects a repeated j (tests/test_spectrum.py)
 eigendata_rows = st.lists(
-    st.tuples(st.integers(0, 5), st.floats(0.0, 16.0), st.integers(1, 4)), max_size=6)
+    st.tuples(st.integers(0, 5), st.floats(0.0, 16.0), st.integers(1, 4)), max_size=6,
+    unique_by=lambda row: row[0])
 
 
 @given(eigendata_rows, st.integers(-1, 6), st.integers(-1, 5))

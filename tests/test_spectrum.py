@@ -225,3 +225,12 @@ def test_repeated_eigenvalue_multiplicities_flow_through():
     sets = index_sets(cp1[0], cp1[1], p)
     assert IndexQuad(1, 1, 1, 1) in sets.sigma0
     assert IndexQuad(1, 1, 1, 2) in sets.sigma0
+
+
+def test_eigendata_rejects_a_repeated_isotypic_index():
+    # a second row for j = 1 listed (1, 1, 1) twice in sigma_minus and made
+    # three critical points of two, and its z = 5.0 was never read
+    from ringwaves.reps import LaplacianEigendata
+
+    with pytest.raises(ValueError, match="lists isotypic index 1 twice"):
+        LaplacianEigendata(((0, 0.0, 1), (1, 3.0, 1), (1, 5.0, 1)))

@@ -65,7 +65,7 @@ def member_union_subgroups(group):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_subgroups_match_member_union_extension(n):
     group = gamma_prime(n)
-    assert [s.elems for s in enumerate_subgroups(group)] == member_union_subgroups(group)
+    assert enumerate_subgroups(group) == member_union_subgroups(group)
 
 
 def cyclic_extension_subgroups(group):
@@ -178,10 +178,10 @@ GROUP_IDS = [f"{build.__name__}-{n}" for build, n in GROUPS]
 def test_lattice_matches_cyclic_extension_and_element_conjugation(build, n):
     group = build(n)
     subgroups = cyclic_extension_subgroups(group)
-    assert [s.elems for s in enumerate_subgroups(group)] == subgroups
+    assert enumerate_subgroups(group) == subgroups
     lat = SubgroupClassLattice(group)
     reps, weyl, n_table = element_conjugation_classes(group, subgroups)
-    assert [rep.elems for rep in lat.reps] == reps
+    assert list(lat.reps) == reps
     assert lat.weyl == weyl
     assert lat.n_table == n_table
 
@@ -190,9 +190,9 @@ def test_lattice_matches_cyclic_extension_and_element_conjugation(build, n):
 def test_circle_homs_match_candidate_closure(build, n):
     group = build(n)
     for sub in enumerate_subgroups(group):
-        got = [tuple(sorted(phi.items())) for phi in hom_to_circle(group, sub.elems)]
-        want = {tuple(sorted(phi.items())) for phi in candidate_closure_homs(group, sub.elems)}
-        assert len(set(got)) == len(got) and set(got) == want, sub.elems
+        got = [tuple(sorted(phi.items())) for phi in hom_to_circle(group, sub)]
+        want = {tuple(sorted(phi.items())) for phi in candidate_closure_homs(group, sub)}
+        assert len(set(got)) == len(got) and set(got) == want, sub
 
 
 def fraction_orbit_classes(lattice):
@@ -205,14 +205,14 @@ def fraction_orbit_classes(lattice):
     oracle = cayley(group)
     found = {}
     for kclass, rep in enumerate(lattice.reps):
-        homs = hom_to_circle(group, rep.elems)
+        homs = hom_to_circle(group, rep)
         commutators = [oracle.table[oracle.conj(a, b)][oracle.inverse[b]]
-                       for a in rep.elems for b in rep.elems]
+                       for a in rep for b in rep]
         # Hom(K, S^1) is the dual of the abelianization K / [K, K]
-        assert len(homs) == rep.order // len(oracle.closure(sorted(set(commutators))))
+        assert len(homs) == len(rep) // len(oracle.closure(sorted(set(commutators))))
         seen = set()
         for phi in homs:
-            if (rep.elems, tuple(phi[k] for k in rep.elems)) in seen:
+            if (rep, tuple(phi[k] for k in rep)) in seen:
                 continue
             orbit = set()
             for c in range(group.order):

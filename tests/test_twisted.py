@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,37 +31,33 @@ from oracles.twisted import (
 )
 
 
-def reflection_subgroup(lat, rot):
-    g = lat.group
-    refl = g.elements.index(GammaPrimeElement(1, 1, DihedralElement(rot, True, 3)))
-    return frozenset({g.identity, refl}), refl
+def reflection(lat, rot):
+    """Index of the reflection g^rot k in Gamma'_3."""
+    return lat.group.elements.index(GammaPrimeElement(1, 1, DihedralElement(rot, True, 3)))
 
 
 def test_hom_enumeration_counts(lat3):
     g = lat3.group
     # homs of the full group = characters of its abelianization Z2^3 (odd N)
-    full = frozenset(range(g.order))
-    assert len(hom_to_circle(g, full)) == 8
-    triv = frozenset({g.identity})
-    assert hom_to_circle(g, triv) == [{g.identity: Fraction(0)}]
+    assert len(hom_to_circle(g, tuple(range(g.order)))) == 8
+    assert hom_to_circle(g, (g.identity,)) == [{g.identity: Fraction(0)}]
 
 
 def test_reflection_types_conjugate(lat3, ctx3):
-    sub1, r1 = reflection_subgroup(lat3, 0)
-    sub2, r2 = reflection_subgroup(lat3, 1)
+    r1, r2 = reflection(lat3, 0), reflection(lat3, 1)
     g = lat3.group
     phi1 = {g.identity: Fraction(0), r1: Fraction(1, 2)}
     phi2 = {g.identity: Fraction(0), r2: Fraction(1, 2)}
-    t1 = ctx3.type_of(sub1, phi1, 1)
-    t2 = ctx3.type_of(sub2, phi2, 1)
+    t1 = ctx3.type_of(phi1, 1)
+    t2 = ctx3.type_of(phi2, 1)
     assert t1 == t2
 
 
 def test_type_of_rejects_folding_zero(lat3, ctx3):
     # the twisted module has no folding-0 types: S^1 x K is the Burnside ring's (K)
-    sub, _ = reflection_subgroup(lat3, 0)
+    phi = {lat3.group.identity: Fraction(0), reflection(lat3, 0): Fraction(0)}
     with pytest.raises(ValueError, match="folding must be >= 1"):
-        ctx3.type_of(sub, {k: Fraction(0) for k in sub}, 0)
+        ctx3.type_of(phi, 0)
     # nor does a twisted sum take one: n_t would divide by the folding
     for key in ((0, 0), (ctx3.n_types, 1), (-1, 1)):
         with pytest.raises(ValueError, match="unknown twisted type"):
@@ -69,18 +66,33 @@ def test_type_of_rejects_folding_zero(lat3, ctx3):
 
 def test_canonical_form_stable_under_identity(lat3, ctx3):
     # a type's representative leads back to the type
-    sub, r = reflection_subgroup(lat3, 2)
-    t = ctx3.type_of(sub, {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}, 3)
+    r = reflection(lat3, 2)
+    t = ctx3.type_of({lat3.group.identity: Fraction(0), r: Fraction(1, 2)}, 3)
     for kphi in (t.kphi, *range(0, ctx3.n_types, 7)):
         u = TwistedOrbitType(kphi, 3)
         rep = representative(ctx3, u)
-        assert ctx3.type_of(rep.members, dict(rep.phi), rep.l) == u
+        assert ctx3.type_of(dict(rep.phi), rep.l) == u
 
 
 def test_invalid_homomorphism_rejected(lat3, ctx3):
-    sub, r = reflection_subgroup(lat3, 0)
+    r = reflection(lat3, 0)
     with pytest.raises(ValueError):
-        ctx3.type_of(sub, {lat3.group.identity: Fraction(0), r: Fraction(1, 3)}, 1)
+        ctx3.type_of({lat3.group.identity: Fraction(0), r: Fraction(1, 3)}, 1)
+
+
+def test_type_of_rejects_a_domain_that_is_not_a_subgroup(lat3, ctx3):
+    # K is phi's domain: {e, g} misses g^2, {e, g k, k} misses g, and the
+    # empty domain (once a ZeroDivisionError) and {g} miss the identity
+    e, g = lat3.group.identity, 1
+    cases = [
+        ((e, g), "is not closed"),
+        ((e, reflection(lat3, 1), reflection(lat3, 0)), "is not closed"),
+        ((), "misses the identity"),
+        ((g,), "misses the identity"),
+    ]
+    for domain, why in cases:
+        with pytest.raises(ValueError, match=f"domain is not a subgroup: it {why}"):
+            ctx3.type_of(dict.fromkeys(domain, Fraction(0)), 1)
 
 
 @settings(max_examples=200)
@@ -91,7 +103,7 @@ def test_type_of_rejects_exactly_the_non_homomorphisms(data):
     # moved by 1/2 is the trivial homomorphism)
     lat = gamma_prime_lattice(data.draw(st.integers(3, 8), label="N"))
     ctx = twisted_context(lat)
-    members = data.draw(st.sampled_from(lat.reps), label="K").elems
+    members = data.draw(st.sampled_from(lat.reps), label="K")
     phi = data.draw(st.sampled_from(hom_to_circle(lat.group, members)), label="phi")
     l = data.draw(st.integers(1, 3), label="l")
     if data.draw(st.booleans(), label="move"):
@@ -99,29 +111,29 @@ def test_type_of_rejects_exactly_the_non_homomorphisms(data):
         L = ctx.denominator
         phi = {**phi, k: phi[k] + Fraction(data.draw(st.integers(1, L - 1), label="d"), L)}
     if is_circle_hom(lat.group, phi):
-        assert ctx.type_of(members, phi, l).l == l
+        assert ctx.type_of(phi, l).l == l
     else:
         with pytest.raises(ValueError, match="not a homomorphism"):
-            ctx.type_of(members, phi, l)
+            ctx.type_of(phi, l)
 
 
 def test_subconjugation_reflexive_and_trivial(lat3, ctx3):
-    sub, r = reflection_subgroup(lat3, 0)
+    r = reflection(lat3, 0)
     phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
-    t = ctx3.type_of(sub, phi, 1)
+    t = ctx3.type_of(phi, 1)
     n = ctx3.n_t(t, t)
     assert n == 1
-    triv = ctx3.type_of(frozenset({lat3.group.identity}), {lat3.group.identity: Fraction(0)}, 1)
+    triv = ctx3.type_of({lat3.group.identity: Fraction(0)}, 1)
     n = ctx3.n_t(triv, t)
     assert n >= 1
 
 
 def test_incompatible_foldings(lat3, ctx3):
-    sub, r = reflection_subgroup(lat3, 0)
+    r = reflection(lat3, 0)
     phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
-    t1 = ctx3.type_of(sub, phi, 1)
-    t2 = ctx3.type_of(sub, phi, 2)
-    t3 = ctx3.type_of(sub, phi, 3)
+    t1 = ctx3.type_of(phi, 1)
+    t2 = ctx3.type_of(phi, 2)
+    t3 = ctx3.type_of(phi, 3)
     assert ctx3.n_t(t2, t3) == 0  # 2 does not divide 3
     assert ctx3.n_t(t1, t2) >= 0  # 1 divides 2: phase must square-match
 
@@ -141,18 +153,19 @@ def test_trivial_phi_classes_are_the_lattice_classes(n):
     # a subgroup K is the pair (K, phi = 0): both structures find it by one routine
     lat = gamma_prime_lattice(n)
     ctx = twisted_context(lat)
+    class_sizes = Counter(map(lat.class_id, lat.subgroups))
     for c, rep in enumerate(lat.reps):
-        kphi = ctx._class_ids[rep.elems, (0,) * rep.order]
+        kphi = ctx._class_ids[rep, (0,) * len(rep)]
         assert ctx.k_class(kphi) == c
         assert ctx.weyl_t(TwistedOrbitType(kphi, 1)) == lat.weyl[c]
-        assert len(ctx._conjugates[kphi]) == len(lat.classes[c])
+        assert len(ctx._conjugates[kphi]) == class_sizes[c]
 
 
 def test_module_identity_action(lat3, ctx3):
     one = BurnsideElement.one(lat3)
-    sub, r = reflection_subgroup(lat3, 0)
+    r = reflection(lat3, 0)
     phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
-    s = TwistedSum.generator(ctx3, ctx3.type_of(sub, phi, 1))
+    s = TwistedSum.generator(ctx3, ctx3.type_of(phi, 1))
     assert module_product(one, s) == s
 
 
@@ -168,12 +181,11 @@ def test_module_product_matches_quotient_oracle(lat3, ctx3):
 
 
 def test_module_product_distributes(lat3, ctx3):
-    sub, r = reflection_subgroup(lat3, 0)
+    r = reflection(lat3, 0)
     phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
-    t1 = TwistedSum.generator(ctx3, ctx3.type_of(sub, phi, 1))
-    full = frozenset(range(lat3.group.order))
-    hom = hom_to_circle(lat3.group, full)[1]
-    t2 = TwistedSum.generator(ctx3, ctx3.type_of(full, hom, 1))
+    t1 = TwistedSum.generator(ctx3, ctx3.type_of(phi, 1))
+    hom = hom_to_circle(lat3.group, tuple(range(lat3.group.order)))[1]
+    t2 = TwistedSum.generator(ctx3, ctx3.type_of(hom, 1))
     a = BurnsideElement.generator(lat3, 2)
     assert module_product(a, t1 + t2) == module_product(a, t1) + module_product(a, t2)
 
@@ -197,9 +209,9 @@ def test_fold_linear_and_multiplicative(ctx3):
 
 def test_fold_preimage_elementwise(lat3, ctx3):
     # folding doubles the folding tag and preserves the finite data
-    sub, r = reflection_subgroup(lat3, 0)
+    r = reflection(lat3, 0)
     phi = {lat3.group.identity: Fraction(0), r: Fraction(1, 2)}
-    t = ctx3.type_of(sub, phi, 1)
+    t = ctx3.type_of(phi, 1)
     folded = fold(2, TwistedSum.generator(ctx3, t))
     ((t2, coeff),) = folded.coeffs
     assert coeff == 1 and t2 == TwistedOrbitType(t.kphi, 2)
@@ -242,12 +254,11 @@ def test_type_str_roundtrippable(ctx3):
 
 
 def test_type_of_takes_turns_outside_the_unit_interval(lat3, ctx3):
-    full = frozenset(range(lat3.group.order))
-    hom = hom_to_circle(lat3.group, full)[1]
-    t = ctx3.type_of(full, hom, 1)
+    hom = hom_to_circle(lat3.group, tuple(range(lat3.group.order)))[1]
+    t = ctx3.type_of(hom, 1)
     # every turn here is 0 or 1/2, so -phi and phi + 1 are phi mod 1
-    assert ctx3.type_of(full, {k: v + 1 for k, v in hom.items()}, 1) == t
-    assert ctx3.type_of(full, {k: -v for k, v in hom.items()}, 1) == t
+    assert ctx3.type_of({k: v + 1 for k, v in hom.items()}, 1) == t
+    assert ctx3.type_of({k: -v for k, v in hom.items()}, 1) == t
 
 
 def test_concurrent_misses_build_each_structure_once(monkeypatch):
