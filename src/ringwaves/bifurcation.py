@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .burnside import BurnsideElement
 from .degrees import linear_iso_degree, twisted_basic_degree
@@ -94,87 +95,58 @@ def folding_data(N: int, j: int):
     return ntilde, jtilde, h
 
 
-def _irrep_for(N: int, j: int) -> "DihedralIrrep":
-    return isotypic_irreps(N)[j]
-
-
 def _block_irrep(N: int, m: int, n: int, j: int) -> GIrrep:
-    return GIrrep(m, DressedIrrep(_irrep_for(N, j), dressing_bit(n)))
+    return GIrrep(m, DressedIrrep(isotypic_irreps(N)[j], dressing_bit(n)))
 
 
 def maximal_orbit_generators(N: int, m: int, n: int, j: int) -> dict:
     """Generator lists for the maximal orbit types of the (m, n, j) block.
 
     Kinds: "H" is the traveling type present for every j; for geometric j
-    (0 < j < ceil(N/2)) the plain-reflection type "T" (a standing profile in
-    the real eigenvector) and the phase-shifted reflection type "S" (its
-    imaginary counterpart) appear as well.  Each list is verified to fix a
+    (0 < j < N/2) the plain-reflection type "T" (a standing profile in the
+    real eigenvector) and the phase-shifted reflection type "S" (its
+    imaginary counterpart) appear as well.  Every list starts with the
+    anti-periodicity and the space parity.  Each list is verified to fix a
     nonzero subspace of W_m (x) V_j at construction.
     """
     if m < 1:
         raise ValueError("maximal kinds need folding m >= 1")
-    half = N % 2 == 0 and j == N // 2
     if not 0 <= j <= N // 2:
         # in particular the alternating index N/2 only exists for even N
         raise ValueError(f"isotypic index {j} out of range for N={N}")
-    bit = dressing_bit(n)
-    e = DihedralElement(0, False, N)
-    gamma = DihedralElement(1, False, N)
-    kappa = DihedralElement(0, True, N)
-    anti = (Fraction(1, 2 * m), GammaPrimeElement(-1, 1, e))
-    parity = (Fraction(0), GammaPrimeElement((-1) ** bit, -1, e))
-    out = {}
-    if j == 0:
-        gens = (anti, parity, (Fraction(0), GammaPrimeElement(1, 1, gamma)),
-                (Fraction(0), GammaPrimeElement(1, 1, kappa)))
-    elif half:
-        # kappa acts trivially on the alternating character, so the maximal
-        # isotropy keeps it alongside the half-turn traveling rotation
-        gens = (anti, parity, (Fraction(1, 2 * m), GammaPrimeElement(1, 1, gamma)),
-                (Fraction(0), GammaPrimeElement(1, 1, kappa)))
-    else:
-        travel = (Fraction(j, N * m) % 1, GammaPrimeElement(1, 1, gamma))
-        gens = (anti, parity, travel)
-    out["H"] = OrbitGenerators("H", gens)
-    if 0 < j and not half:
+
+    def gen(turn, rot=0, ref=False, kappa1=1, kappa2=1):
+        return (Fraction(turn), GammaPrimeElement(kappa1, kappa2, DihedralElement(rot, ref, N)))
+
+    half_turn = Fraction(1, 2 * m)
+    kappa = gen(0, ref=True)
+    common = (gen(half_turn, kappa1=-1), gen(0, kappa1=(-1) ** dressing_bit(n), kappa2=-1))
+    # kappa acts trivially on V_0 and on the alternating V_{N/2}, so their
+    # maximal isotropy keeps it alongside the traveling rotation
+    geometric = 0 < j and 2 * j != N
+    travel = common + (gen(Fraction(j, N * m) % 1, rot=1),)
+    out = {"H": travel if geometric else travel + (kappa,)}
+    if geometric:
         ntilde, _jt, h = folding_data(N, j)
-        if ntilde % 2 == 1:
-            common = []
-            if ntilde < N:
-                common.append(
-                    (Fraction(0), GammaPrimeElement(1, 1, DihedralElement(ntilde, False, N)))
-                )
-            out["T"] = OrbitGenerators(
-                "T",
-                (anti, parity, (Fraction(0), GammaPrimeElement(1, 1, kappa)), *common),
-            )
-            out["S"] = OrbitGenerators(
-                "S",
-                (anti, parity, (Fraction(1, 2 * m), GammaPrimeElement(1, 1, kappa)), *common),
-            )
+        if ntilde % 2:
+            # the rotation kernel <gamma^ntilde> (trivial when ntilde = N)
+            extra = (gen(0, rot=ntilde),) if ntilde < N else ()
+            s_ref = gen(half_turn, ref=True)
         else:
-            # even reduced order: both reflection types are plain, distinguished
+            # even reduced order: both reflection types are plain, told apart
             # by the reflection's phase on the rotation eigenvector (1 for T,
             # the primitive one for S), and share the half-turn traveling step
             # gamma^(ntilde/2): it acts by -1 on the block, and its square
             # generates the block's rotation kernel <gamma^ntilde>
-            step = ntilde // 2
-            travel2 = (Fraction(1, 2 * m), GammaPrimeElement(1, 1, DihedralElement(step, False, N)))
-            out["T"] = OrbitGenerators(
-                "T",
-                (anti, parity, (Fraction(0), GammaPrimeElement(1, 1, kappa)), travel2),
-            )
-            out["S"] = OrbitGenerators(
-                "S",
-                (anti, parity,
-                 (Fraction(0), GammaPrimeElement(1, 1, DihedralElement(h % N, True, N))),
-                 travel2),
-            )
-    rep = GIrrep(m, DressedIrrep(_irrep_for(N, j), bit))
-    for g in out.values():
-        if fixed_dim(rep, g.elements) <= 0:
-            raise ExactnessError(f"{g.kind}-generators fix nothing in {rep.label}")
-    return out
+            extra = (gen(half_turn, rot=ntilde // 2),)
+            s_ref = gen(0, rot=h % N, ref=True)
+        out["T"] = common + (kappa,) + extra
+        out["S"] = common + (s_ref,) + extra
+    rep = _block_irrep(N, m, n, j)
+    for kind, elements in out.items():
+        if fixed_dim(rep, elements) <= 0:
+            raise ExactnessError(f"{kind}-generators fix nothing in {rep.label}")
+    return {kind: OrbitGenerators(kind, elements) for kind, elements in out.items()}
 
 
 def generators_to_type(ctx: TwistedContext, gens: OrbitGenerators, m: int):
@@ -249,7 +221,7 @@ def local_invariant(
             "the full-mode invariant is undefined (anti-periodic mode still works)"
         )
     neg = [
-        (DressedIrrep(_irrep_for(params.N, jj), dressing_bit(nn)), 1)
+        (DressedIrrep(isotypic_irreps(params.N)[jj], dressing_bit(nn)), 1)
         for nn, jj, _kk in sets.sigma_minus
     ]
     factor = linear_iso_degree(neg, lattice)
@@ -379,24 +351,14 @@ def generators_json(gens: OrbitGenerators) -> list:
 def prediction_report_json(
     params: ModelParams, m_max: int, n_max: int, report: PredictionReport
 ) -> dict:
-    """Stable JSON form of a prediction run (schema: critical_points list)."""
-    by_point: dict = {}
-    for p in report.predictions:
-        key = p.point
-        by_point.setdefault(key, []).append(p)
+    """Stable JSON form of a prediction run (schema: critical_points list).
+
+    `predict_branches` emits predictions in critical-point order, kinds
+    sorted within a point, so each point's branches are one run.
+    """
     inv_map = dict(report.invariants)
     points = []
-    for cp in sorted(by_point, key=lambda c: c.quad):
-        preds = by_point[cp]
-        sign = rho(
-            cp.quad.m, cp.quad.n, cp.quad.j, cp.quad.k, params, (cp.alpha, cp.beta)
-        )
-        invariant = []
-        if cp in inv_map:
-            invariant = [
-                {"orbit_type": report.context.type_str(t), "coeff": v}
-                for t, v in inv_map[cp].value.coeffs
-            ]
+    for cp, preds in groupby(report.predictions, key=lambda p: p.point):
         points.append(
             {
                 "m": cp.quad.m,
@@ -405,8 +367,12 @@ def prediction_report_json(
                 "k": cp.quad.k,
                 "alpha": cp.alpha,
                 "beta": cp.beta,
-                "rho": sign,
-                "invariant": invariant,
+                "rho": rho(cp.quad.m, cp.quad.n, cp.quad.j, cp.quad.k, params,
+                           (cp.alpha, cp.beta)),
+                "invariant": [
+                    {"orbit_type": report.context.type_str(t), "coeff": v}
+                    for t, v in inv_map[cp].value.coeffs
+                ],
                 "branches": [
                     {
                         "kind": p.kind,
@@ -416,7 +382,7 @@ def prediction_report_json(
                         "unbounded": p.unbounded,
                         "non_stationary": p.non_stationary,
                     }
-                    for p in sorted(preds, key=lambda p: p.kind)
+                    for p in preds
                 ],
             }
         )

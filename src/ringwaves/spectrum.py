@@ -197,12 +197,22 @@ def mu_numerator(
     return (
         complex(-nu2 * m * m + n * n, params.delta * m)
         + params.zeta_jk(j, k, alpha)
-        + beta * cmath.exp(-1j * m * params.tau)
+        + beta * cmath.exp(-1j * _m_tau(m, params))
     )
 
 
+def _m_tau(m: int, params: ModelParams) -> float:
+    """m * tau, checked finite: every sin, cos and exp of the delay phase
+    takes it from here."""
+    phase = m * params.tau
+    if not math.isfinite(phase):
+        raise ValueError(f"delay tau = {params.tau:g} overflows at folding m = {m}: "
+                         "m * tau is not finite")
+    return phase
+
+
 def _sin_m_tau(m: int, params: ModelParams) -> float:
-    s = math.sin(m * params.tau)
+    s = math.sin(_m_tau(m, params))
     if abs(s) < SIN_DEGENERACY_TOL:
         raise DegenerateParameterError(
             f"sin({m}*tau) = {s:.2e} is numerically degenerate; the delay must "
@@ -224,7 +234,7 @@ def critical_point(m: int, n: int, j: int, k: int, params: ModelParams):
     s = _sin_m_tau(m, params)
     beta0 = params.delta * m / s
     nu2 = float(params.nu) ** 2
-    target = (nu2 * m * m - n * n - params.delta * m * (math.cos(m * params.tau) / s)) / (
+    target = (nu2 * m * m - n * n - params.delta * m * (math.cos(_m_tau(m, params)) / s)) / (
         params.eigendata.z(j, k) + 1.0
     )
     if not params.zeta.in_range(target):
@@ -288,10 +298,11 @@ def index_sets(alpha: float, beta: float, params: ModelParams, h_fixed: bool = F
     for m in range(1, m_bound + 1):
         if h_fixed and m % 2 == 0:
             continue
+        cos_m_tau = math.cos(_m_tau(m, params))
         for j, k in params.eigendata.indices():
             zjk = zeta_val * (params.eigendata.z(j, k) + 1.0)
             # real part: n^2 = nu^2 m^2 - zeta_jk - beta cos(m tau)
-            n2 = nu2 * m * m - zjk - beta * math.cos(m * params.tau)
+            n2 = nu2 * m * m - zjk - beta * cos_m_tau
             if n2 < 0.5:
                 continue
             n = round(math.sqrt(n2))
@@ -356,9 +367,10 @@ def enumerate_critical_points(
     rows = sum(mult for _j, _z, mult in params.eigendata.entries)
     check_window_size(rows, m_max, n_max, odd_m_only)
     out = []
+    indices = sorted(params.eigendata.indices())  # eigendata may list j in any order
     for m in _window_ms(m_max, odd_m_only):
         for n in range(1, n_max + 1):
-            for j, k in params.eigendata.indices():
+            for j, k in indices:
                 got = critical_point(m, n, j, k, params)
                 if got is None:
                     continue

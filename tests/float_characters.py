@@ -13,7 +13,9 @@ import math
 
 from ringwaves.errors import ExactnessError
 from ringwaves.groups import DihedralElement, GammaPrimeElement
-from ringwaves.reps import DressedIrrep, GIrrep, character_table, cos_turn, generated_group
+from ringwaves.reps import DressedIrrep, GIrrep, character_table, cos_turn
+
+from oracles.reps import closure_oracle
 
 TOL = 1e-9
 
@@ -67,8 +69,9 @@ def permutation_isotypic(N: int) -> dict:
 
 
 def fixed_dim(rep, pairs) -> int:
-    """Float average of a GIrrep's character over the closure of `pairs`."""
-    group = generated_group(pairs)
+    """Float average of a GIrrep's character over the closure of `pairs`,
+    closed by the oracle's dataclass products."""
+    group = closure_oracle(pairs, math.inf)
     return _rounded(sum(g_char(rep, t, g) for t, g in group) / len(group))
 
 

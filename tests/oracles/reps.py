@@ -4,9 +4,9 @@ circle closure by dataclass products.
 Independent of the exact Galois averages in `ringwaves.reps.fixed_dim`: each
 irrep is rebuilt here as matrices from its data alone (label, `j`, `N`, the
 dressing bit and the circle weight `m`), and a fixed dimension is the trace
-of the averaging projector over the closed group.  The closure oracle
-multiplies (Fraction, element) pairs, independent of the integer codes in
-`ringwaves.reps.circle_closure`.  `permutation_isotypic` splits the ring's
+of the averaging projector over the group that `closure_oracle` closes.
+That oracle multiplies (Fraction, element) pairs, independent of the integer
+codes in `ringwaves.reps.circle_closure`.  `permutation_isotypic` splits the ring's
 permutation representation into irreps from its fixed-vertex counts.
 """
 
@@ -24,7 +24,6 @@ from ringwaves.reps import (
     GIrrep,
     character_table,
     galois_average,
-    generated_group,
 )
 
 from oracles.groups import inverse, product
@@ -72,7 +71,7 @@ def fixed_dim_projector_oracle(rep, generators) -> int:
         rep = GIrrep(0, rep)
     else:
         pairs = list(generators)
-    group = generated_group(pairs)
+    group = closure_oracle(pairs, math.inf)
     proj = sum(g_matrix(rep, t, g) for t, g in group) / len(group)
     rank = round(float(np.trace(proj)))
     assert np.allclose(proj @ proj, proj, atol=1e-8), "averaging is not a projector"

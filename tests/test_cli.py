@@ -350,6 +350,16 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
     assert [(r["j"], r["k"]) for r in rows] == [(0, 1), (1, 1), (1, 2)]
 
 
+def test_critical_points_are_sorted_for_unsorted_eigendata(tmp_path, capsys):
+    # the rows followed the eigendata's order, (1, 1, 2, 1) first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "eigendata": [[2, 4.0, 1], [0, 0.0, 1], [1, 2.0, 2]]}))
+    code, out = run(capsys, "critical-points", "--config", str(cfg), "--m-max", "1", "--n-max", "1")
+    assert code == 0
+    quads = [(r["m"], r["n"], r["j"], r["k"]) for r in json.loads(out)["critical_points"]]
+    assert quads == [(1, 1, 0, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1)]
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -383,6 +393,8 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
         (["verify", "--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2",
           "--beta", "0.5"], None),
         ([], {"alpha": 0.1}),
+        (["predict", "--N", "3", "--tau", "1e308"], None),
+        (["invariant", "--N", "3", "--alpha", "0", "--beta", "5", "--tau", "1e308"], None),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
@@ -391,7 +403,8 @@ def test_table_curve_and_eigendata_config(tmp_path, capsys):
          "eigendata-multiplicity-above-N", "eigendata-z-nan", "eigendata-z-negative",
          "eigendata-z-inf", "eigendata-z-huge-int", "table-huge-int", "config-alpha-huge-int",
          "invariant-n-zero", "invariant-n-negative", "invariant-alpha-alone",
-         "verify-beta-alone", "config-alpha-alone"],
+         "verify-beta-alone", "config-alpha-alone", "predict-tau-overflow",
+         "invariant-tau-overflow"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -403,6 +416,18 @@ def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, conf
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--N", "3"],
+    ["invariant", "--N", "3", "--alpha", "0", "--beta", "5"],
+])
+def test_overflowing_delay_phase_names_tau_and_m(capsys, argv):
+    # m * tau overflowed to inf inside sin or cos: "error: math domain error";
+    # both scan odd m only, so m = 3 is the first that overflows
+    assert main(argv + ["--tau", "1e308"]) == 1
+    assert capsys.readouterr().err == ("error: delay tau = 1e+308 overflows at folding m = 3: "
+                                       "m * tau is not finite\n")
 
 
 @pytest.mark.parametrize("z, shown", [("NaN", "nan"), ("-3.0", "-3.0"), ("1e400", "inf")])

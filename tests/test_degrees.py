@@ -185,6 +185,16 @@ def test_basic_degree_is_inflated_from_the_quotient_ring(N, j, bit):
 
 
 @pytest.mark.parametrize("N, j, bit, m", INFLATION_POINTS)
+def test_maximal_kind_types_are_inflated_from_the_quotient_ring(N, j, bit, m):
+    d = math.gcd(N, j)
+    ctx = twisted_context(gamma_prime_lattice(N))
+    small = twisted_context(gamma_prime_lattice(N // d))
+    quotient = maximal_kind_types(GIrrep(m, DressedIrrep(isotypic_irreps(N // d)[j // d], bit)), small)
+    got = maximal_kind_types(GIrrep(m, DressedIrrep(isotypic_irreps(N)[j], bit)), ctx)
+    assert got == sorted(inflate(ctx, small, t) for t in quotient)
+
+
+@pytest.mark.parametrize("N, j, bit, m", INFLATION_POINTS)
 def test_generator_types_are_inflated_from_the_quotient_ring(N, j, bit, m):
     # each kind's generators at (N, j) give the preimage of its type at (N/d, j/d)
     d = math.gcd(N, j)
