@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 from ._lazy import np
@@ -360,6 +359,40 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
+def write_grid_csv(grid: verify_mod.GridFunction, path) -> None:
+    """The export CSV of a grid: the bytes csv.writer writes for rows of
+    t, x and the N components, each cell formatted "%.16g".
+
+    A model eigenfunction is a separable product, so most of its magnitudes
+    repeat: each distinct one is formatted once, and a cell is a reference
+    to its text behind a "," or, when the sign bit is set (-0.0 too), a
+    ",-" separator.  No text is made per cell or per sign.
+    """
+    values = grid.values
+    m_x, n_comp = values.shape[1:]
+    # 0.0 and -0.0 share a bit pattern once the sign is cleared, and so a text
+    magnitudes, which = np.unique(np.abs(values).ravel().view(np.int64), return_inverse=True)
+    texts = np.fromiter(map(b"%.16g".__mod__, memoryview(magnitudes.view(np.float64))),
+                        dtype=object, count=len(magnitudes))
+    separators = np.array([b",", b",-"], dtype=object)
+    # one time plane's tokens, a row each: "t," x (separator text) * N CRLF
+    row = np.empty((m_x, 2 * n_comp + 3), dtype=object)
+    row[:, 1] = [b"%.16g" % x for x in grid.x_grid.tolist()]
+    row[:, -1] = b"\r\n"
+    header = ",".join(["t", "x"] + [f"u{i+1}" for i in range(n_comp)]) + "\r\n"
+    # a plane's text outgrows the default 8 KiB buffer: without a larger
+    # one, every plane would be a write call of its own
+    with Path(path).open("wb", buffering=1 << 16) as fh:
+        fh.write(header.encode())
+        planes = zip(grid.t_grid.tolist(), which.reshape(values.shape),
+                     np.signbit(values).view(np.uint8))
+        for t, cells, negative in planes:
+            row[:, 0] = b"%.16g," % t
+            row[:, 2:-1:2] = separators[negative]
+            row[:, 3:-1:2] = texts[cells]
+            fh.write(b"".join(row.ravel().tolist()))
+
+
 def cmd_export_eigenfunction(cfg: RunConfig) -> int:
     # before cfg.params() builds N/2 + 1 eigendata rows
     verify_mod.check_eigenfunction_size(cfg.N, cfg.grid_t, cfg.grid_x)
@@ -370,8 +403,17 @@ def cmd_export_eigenfunction(cfg: RunConfig) -> int:
             f"--grid-t and --grid-x must be at least 1, got {cfg.grid_t}x{cfg.grid_x}")
     if not cfg.symmetry_tol >= 0:
         raise ValueError(f"--symmetry-tol must be at least 0, got {cfg.symmetry_tol}")
+    generators = maximal_orbit_generators(params.N, m, n, j)
+    # a kind the block lacks has no relations here; eigenfunction rejects it
+    rels = symmetry_relations(generators[cfg.kind]) if cfg.kind in generators else []
+    # a shift off the time grid is a trigonometric interpolation, exact for
+    # cos(m t) only above the Nyquist rate; when grid_x + 1 divides n the
+    # transverse profile vanishes on every x sample, and a zero grid passes
+    if (cfg.grid_t <= 2 * m and n % (cfg.grid_x + 1)
+            and any((r.t_shift_turns * cfg.grid_t).denominator != 1 for r in rels)):
+        raise ValueError(f"--grid-t {cfg.grid_t} is too coarse for m = {m}: kind {cfg.kind} "
+                         f"shifts time off the grid, exact only above 2m = {2 * m} samples")
     grid = verify_mod.eigenfunction(params.N, m, n, j, cfg.kind, cfg.grid_t, cfg.grid_x)
-    rels = symmetry_relations(maximal_orbit_generators(params.N, m, n, j)[cfg.kind])
     checks = verify_mod.symmetry_check(grid, rels, tol=cfg.symmetry_tol)
     violation = max(r["violation"] for r in checks.values())
     if not all(r["pass"] for r in checks.values()):
@@ -380,17 +422,7 @@ def cmd_export_eigenfunction(cfg: RunConfig) -> int:
         # below the default tolerance a failure is the user's choice, not a defect
         raise (ValueError if cfg.symmetry_tol < RunConfig.symmetry_tol else ExactnessError)(message)
     out = cfg.out or f"eigenfunction_{cfg.kind}_{m}_{n}_{j}.csv"
-    # the bytes csv.writer would write: t and x cells formatted once, each
-    # time plane's rows made and written by C-level loops.  One string per
-    # row, not per plane: in a long-lived caller that keeps every output, one
-    # %-format per plane was no faster and grew peak RSS by 7-8 KB per export
-    row = ",".join(["%s", "%s"] + ["%.16g"] * params.N) + "\r\n"
-    x_cells = ["%.16g" % x for x in grid.x_grid.tolist()]
-    with Path(out).open("w", newline="") as fh:
-        csv.writer(fh).writerow(["t", "x"] + [f"u{i+1}" for i in range(params.N)])
-        for t, plane in zip(grid.t_grid.tolist(), grid.values):
-            cells = zip(repeat("%.16g" % t), x_cells, *plane.T.tolist())
-            fh.writelines(map(row.__mod__, cells))
+    write_grid_csv(grid, out)
     summary = {
         "schema": SCHEMA_VERSION,
         "kind": cfg.kind,

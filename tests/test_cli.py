@@ -155,20 +155,75 @@ def _csv_writer_oracle(path, grid):
                 ])
 
 
-@pytest.mark.parametrize("grid", [(128, 64), (64, 32), (17, 9)], ids=lambda g: "%dx%d" % g)
-@pytest.mark.parametrize("kind", ["H", "S", "T"])
-@pytest.mark.parametrize("N", [3, 4, 7, 12])
-def test_export_csv_bytes_match_csv_writer(tmp_path, capsys, N, kind, grid):
+def _export_cases():
+    """(N, kind, m, j, grid) at m in {1, 3} and j in {1, 0, N // 2}, each
+    kind where the block has it; m = j = 1 keeps the bare "N-kind-grid" id."""
+    for N in (3, 4, 7, 12):
+        for kind in "HST":
+            for m, j in dict.fromkeys((m, j) for j in (1, 0, N // 2) for m in (1, 3)):
+                if kind != "H" and (j == 0 or 2 * j == N):
+                    continue
+                for m_t, m_x in ((128, 64), (64, 32), (17, 9)):
+                    block = "" if (m, j) == (1, 1) else f"-m{m}-j{j}"
+                    yield pytest.param(N, kind, m, j, (m_t, m_x),
+                                       id=f"{N}-{kind}-{m_t}x{m_x}{block}")
+
+
+@pytest.mark.parametrize("N, kind, m, j, grid", _export_cases())
+def test_export_csv_bytes_match_csv_writer(tmp_path, capsys, N, kind, m, j, grid):
     m_t, m_x = grid
     out_csv = tmp_path / "u.csv"
     code = main([
-        "export-eigenfunction", "--N", str(N), "--m", "1", "--n", "1", "--j", "1",
+        "export-eigenfunction", "--N", str(N), "--m", str(m), "--n", "1", "--j", str(j),
         "--kind", kind, "--grid-t", str(m_t), "--grid-x", str(m_x), "--out", str(out_csv),
     ])
     assert code == 0
     oracle = tmp_path / "oracle.csv"
-    _csv_writer_oracle(oracle, eigenfunction(N, 1, 1, 1, kind, m_t, m_x))
+    _csv_writer_oracle(oracle, eigenfunction(N, m, 1, j, kind, m_t, m_x))
     assert out_csv.read_bytes() == oracle.read_bytes()
+
+
+# repeats forced by a small pool: both zeros, the least subnormal, the %g
+# exponent switch at 1e-4 from both sides, 16 and 17 significant digits, the
+# integers around the switch at 1e16, and both infinities
+_CELL_POOL = [0.0, -0.0, 5e-324, 1e-4, -1e-4, 9.999999999999999e-05, 1 / 3, 1e15, -1e15,
+              9999999999999998.0, 1e16, float("inf"), -float("inf")]
+
+
+@st.composite
+def _pool_grids(draw):
+    m_t, m_x, n_comp = (draw(st.integers(1, 4)) for _ in range(3))
+    cells = st.sampled_from(_CELL_POOL)
+
+    def array(*shape):
+        return np.array(draw(st.lists(cells, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+
+    return verify.GridFunction(array(m_t), array(m_x), array(m_t, m_x, n_comp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_pool_grids())
+def test_grid_csv_writer_matches_csv_writer(tmp_path_factory, grid):
+    # a shared magnitude text must not lose a sign, -0.0 included
+    d = tmp_path_factory.mktemp("csv")
+    cli.write_grid_csv(grid, d / "u.csv")
+    _csv_writer_oracle(d / "oracle.csv", grid)
+    assert (d / "u.csv").read_bytes() == (d / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "3", "--n", "1", "--kind", "T", "--grid-t", "6", "--grid-x", "4"],
+    ["--m", "2", "--n", "1", "--kind", "H", "--grid-t", "5", "--grid-x", "4"],
+    ["--m", "1", "--n", "2", "--kind", "H", "--grid-t", "1", "--grid-x", "1"],
+    ["--m", "2", "--n", "3", "--kind", "S", "--grid-t", "3", "--grid-x", "2"],
+], ids=["on-grid-2m", "above-2m", "zero-profile-even-n", "zero-profile-odd-n"])
+def test_export_time_grid_check_admits_exact_cases(tmp_path, capsys, argv):
+    # 2m samples pass when every shift lands on the grid, 2m + 1 always; a
+    # transverse profile that vanishes on every x sample passes at any grid-t
+    out_csv = tmp_path / "u.csv"
+    assert main(["export-eigenfunction", "--N", "3", "--j", "1", "--out", str(out_csv)] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["max_violation"] <= 1e-12
 
 
 def test_readme_export_matches_golden(tmp_path, monkeypatch, capsys):
@@ -361,40 +416,51 @@ def test_critical_points_are_sorted_for_unsorted_eigendata(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, fragment",
     [
-        (["predict", "--N", "30"], None),
-        ([], [1, 2]),
-        (["--config", "missing.json"], None),
-        ([], {"N": "4"}),
-        (["--m-max", "1", "--n-max", "1"], {"N": 4, "eigendata": [[5, 1.0, 1]]}),
-        ([], {"mode": "ful"}),
-        ([], {"prediction_mode": "both"}),
-        ([], {"kind": "X"}),
-        ([], {"zeta": "cubic"}),
-        (["predict", "--nu", "1/0"], None),
-        ([], {"alpha": 0.1, "beta": float("inf")}),
-        ([], {"zeta": "table", "zeta_table": [[0, 0], [5e-324, 1]]}),
-        ([], {"zeta": "table", "zeta_table": [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]}),
-        ([], {"zeta": "table", "zeta_table": [[0, 0], [0, 1], [1, 2]]}),
-        (["export-eigenfunction", "--N", "1000", "--grid-t", "64", "--grid-x", "32"], None),
-        (["verify", "--N", "100000"], None),
-        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 3.0, 1], [1, 5.0, 1]]}),
-        ([], {"N": 3, "eigendata": [[0, 0.0, 1000000000000]]}),
-        ([], {"N": 3, "eigendata": [[0, float("nan"), 1], [1, 3.0, 1]]}),
-        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, -3.0, 1]]}),
-        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, float("inf"), 1]]}),
-        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 10**400, 1]]}),
-        ([], {"zeta": "table", "zeta_table": [[0, 0], [1, 10**400]]}),
-        ([], {"alpha": 10**400, "beta": 1.0}),
-        (["invariant", "--N", "3", "--m", "1", "--n", "0", "--j", "0", "--nu", "1/10"], None),
-        (["invariant", "--N", "3", "--m", "1", "--n", "-1", "--j", "0", "--nu", "1/10"], None),
-        (["invariant", "--N", "3", "--m", "1", "--n", "1", "--j", "0", "--alpha", "0.1"], None),
+        (["predict", "--N", "30"], None, "cap 200"),
+        ([], [1, 2], "JSON object"),
+        (["--config", "missing.json"], None, "missing.json"),
+        ([], {"N": "4"}, "'N' must be int"),
+        (["--m-max", "1", "--n-max", "1"], {"N": 4, "eigendata": [[5, 1.0, 1]]},
+         "integer j in 0..2"),
+        ([], {"mode": "ful"}, "'mode' must be one of"),
+        ([], {"prediction_mode": "both"}, "'prediction_mode' must be one of"),
+        ([], {"kind": "X"}, "'kind' must be one of"),
+        ([], {"zeta": "cubic"}, "'zeta' must be one of"),
+        (["predict", "--nu", "1/0"], None, "denominator"),
+        ([], {"alpha": 0.1, "beta": float("inf")}, "beta must be finite"),
+        ([], {"zeta": "table", "zeta_table": [[0, 0], [5e-324, 1]]}, "finite slopes"),
+        ([], {"zeta": "table", "zeta_table": [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]},
+         "finite slopes"),
+        ([], {"zeta": "table", "zeta_table": [[0, 0], [0, 1], [1, 2]]}, "strictly monotonic"),
+        (["export-eigenfunction", "--N", "1000", "--grid-t", "64", "--grid-x", "32"], None,
+         "exceeds 2000000 values"),
+        (["verify", "--N", "100000"], None, "exceed 8000000 values"),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 3.0, 1], [1, 5.0, 1]]}, "index 1 twice"),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1000000000000]]}, "multiplicity in 1..3"),
+        ([], {"N": 3, "eigendata": [[0, float("nan"), 1], [1, 3.0, 1]]}, "row [0, nan, 1]"),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, -3.0, 1]]}, "row [1, -3.0, 1]"),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, float("inf"), 1]]}, "row [1, inf, 1]"),
+        ([], {"N": 3, "eigendata": [[0, 0.0, 1], [1, 10**400, 1]]}, "finite eigenvalue"),
+        ([], {"zeta": "table", "zeta_table": [[0, 0], [1, 10**400]]}, "out of float range"),
+        ([], {"alpha": 10**400, "beta": 1.0}, "out of float range"),
+        (["invariant", "--N", "3", "--m", "1", "--n", "0", "--j", "0", "--nu", "1/10"], None,
+         "n >= 1"),
+        (["invariant", "--N", "3", "--m", "1", "--n", "-1", "--j", "0", "--nu", "1/10"], None,
+         "n >= 1"),
+        (["invariant", "--N", "3", "--m", "1", "--n", "1", "--j", "0", "--alpha", "0.1"], None,
+         "alpha and beta"),
         (["verify", "--N", "3", "--grid-t", "16", "--grid-x", "8", "--ring-points", "2",
-          "--beta", "0.5"], None),
-        ([], {"alpha": 0.1}),
-        (["predict", "--N", "3", "--tau", "1e308"], None),
-        (["invariant", "--N", "3", "--alpha", "0", "--beta", "5", "--tau", "1e308"], None),
+          "--beta", "0.5"], None, "alpha and beta"),
+        ([], {"alpha": 0.1}, "alpha and beta"),
+        (["predict", "--N", "3", "--tau", "1e308"], None, "tau = 1e+308"),
+        (["invariant", "--N", "3", "--alpha", "0", "--beta", "5", "--tau", "1e308"], None,
+         "tau = 1e+308"),
+        (["export-eigenfunction", "--N", "3", "--m", "1", "--n", "1", "--j", "1", "--kind", "T",
+          "--grid-t", "1", "--grid-x", "4"], None, "--grid-t 1 is too coarse for m = 1"),
+        (["export-eigenfunction", "--N", "3", "--m", "2", "--n", "1", "--j", "1", "--kind", "H",
+          "--grid-t", "4", "--grid-x", "4"], None, "--grid-t 4 is too coarse for m = 2"),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
@@ -404,9 +470,10 @@ def test_critical_points_are_sorted_for_unsorted_eigendata(tmp_path, capsys):
          "eigendata-z-inf", "eigendata-z-huge-int", "table-huge-int", "config-alpha-huge-int",
          "invariant-n-zero", "invariant-n-negative", "invariant-alpha-alone",
          "verify-beta-alone", "config-alpha-alone", "predict-tau-overflow",
-         "invariant-tau-overflow"],
+         "invariant-tau-overflow", "export-grid-t-below-nyquist-T",
+         "export-grid-t-below-nyquist-H"],
 )
-def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config):
+def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config, fragment):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -416,6 +483,7 @@ def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, conf
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
 
 
 @pytest.mark.parametrize("argv", [
