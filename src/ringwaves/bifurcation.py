@@ -12,9 +12,9 @@ unbounded branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .burnside import BurnsideElement
 from .degrees import linear_iso_degree, twisted_basic_degree
@@ -33,8 +33,7 @@ from .spectrum import (
 from .twisted import TwistedContext, TwistedSum, module_product, twisted_context
 
 
-@dataclass(frozen=True)
-class BifurcationInvariant:
+class BifurcationInvariant(NamedTuple):
     """The twisted invariant at a critical point with its provenance."""
 
     value: TwistedSum
@@ -43,8 +42,7 @@ class BifurcationInvariant:
     sets: IndexSets
 
 
-@dataclass(frozen=True)
-class OrbitGenerators:
+class OrbitGenerators(NamedTuple):
     """Explicit generators of a maximal isotropy subgroup.
 
     Elements are (turn, GammaPrimeElement) pairs with exact rational circle
@@ -56,8 +54,7 @@ class OrbitGenerators:
     elements: tuple
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Checkable symmetry u_{perm[i]}(t + shift, flip x) = sign * u_i(t, x)."""
 
     name: str
@@ -76,8 +73,7 @@ class Relation:
         }
 
 
-@dataclass(frozen=True)
-class BranchPrediction:
+class BranchPrediction(NamedTuple):
     point: CriticalPoint
     kind: str
     coeff: int
@@ -246,8 +242,7 @@ def h_fixed_invariant(
     )
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     predictions: tuple
     withheld: tuple  # (CriticalPoint, reason) diagnostics
     invariants: tuple  # (CriticalPoint, BifurcationInvariant) pairs

@@ -10,7 +10,6 @@ combination both rings' elements are made of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ExactnessError
@@ -33,17 +32,35 @@ def solve_marks(order, lead, mark, weyl) -> dict:
     return res
 
 
-@dataclass(frozen=True)
 class SparseSum:
     """Sparse integer combination of the basis keys of one owner.
 
-    The owner (a lattice or a twisted context) is shared by identity and
-    left out of equality.  Subclasses give `_key(owner, key)`, which checks
-    or converts a key, and `_label(key)`, which shows it.
+    Immutable.  The owner (a lattice or a twisted context) is shared by
+    identity and left out of equality and hashing.  Subclasses give
+    `_key(owner, key)`, which checks or converts a key, and `_label(key)`,
+    which shows it.
     """
 
-    owner: object = field(compare=False)
-    coeffs: tuple  # sorted ((key, coeff), ...), coeff != 0
+    __slots__ = ("owner", "coeffs")
+
+    def __init__(self, owner, coeffs: tuple):  # sorted ((key, coeff), ...), coeff != 0
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(owner={self.owner!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def from_dict(cls, owner, d):
@@ -98,6 +115,8 @@ class SparseSum:
 
 class BurnsideElement(SparseSum):
     """Sparse integer combination of subgroup conjugacy classes."""
+
+    __slots__ = ()
 
     @classmethod
     def _key(cls, lattice, class_id: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -70,8 +69,14 @@ def _parse_nu(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclasses.dataclass
 class RunConfig:
+    """Run options: each annotated attribute is a field with its default.
+
+    `build_parser` and `_load_config` read the fields, in order, and their
+    type strings from `__annotations__`; an instance holds what a config
+    file or a flag set.
+    """
+
     nu: str | int = "1/1"
     delta: float = 1.0
     tau: float = 2.0
@@ -157,7 +162,7 @@ def _load_config(args) -> RunConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        types = RunConfig.__annotations__
         for key, value in data.items():
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
@@ -165,10 +170,10 @@ def _load_config(args) -> RunConfig:
             if key in CHOICES and value not in CHOICES[key]:
                 raise ValueError(f"config key {key!r} must be one of {CHOICES[key]}, got {value!r}")
             setattr(cfg, key, value)
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
+    for name in RunConfig.__annotations__:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, field.name, value)
+            setattr(cfg, name, value)
     for key in ("alpha", "beta"):
         value = getattr(cfg, key)
         if value is not None and not math.isfinite(value):
@@ -529,16 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
-    for field in dataclasses.fields(RunConfig):
-        kind = field.type.split(" | ")[0]
+    for name, annotation in RunConfig.__annotations__.items():
+        kind = annotation.split(" | ")[0]
         if kind == "list":
             continue
         if kind == "bool":
             how = {"action": "store_const", "const": True}
         else:
-            how = {"type": _FLAG_TYPES.get(kind), "choices": CHOICES.get(field.name)}
-        parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
-                            help=_HELP.get(field.name), **how)
+            how = {"type": _FLAG_TYPES.get(kind), "choices": CHOICES.get(name)}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            help=_HELP.get(name), **how)
     return parser
 
 

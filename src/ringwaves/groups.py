@@ -17,23 +17,20 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExactnessError, SizeCapError
 
 DEFAULT_SUBGROUP_CAP = 200
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(NamedTuple("DihedralElement", [("rot", int), ("ref", bool), ("n", int)])):
     """Element gamma^rot * kappa^ref of D_N, acting on vertices 0..N-1."""
 
-    rot: int
-    ref: bool
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rot", self.rot % self.n)
+    def __new__(cls, rot: int, ref: bool, n: int):
+        return super().__new__(cls, rot % n, ref, n)
 
     def inverse(self) -> "DihedralElement":
         if self.ref:
@@ -50,8 +47,7 @@ class DihedralElement:
         return "k" if self.rot == 0 else f"g^{self.rot}k"
 
 
-@dataclass(frozen=True)
-class GammaPrimeElement:
+class GammaPrimeElement(NamedTuple):
     """Element (kappa1, kappa2, d) of Z2 x Z2 x D_N with kappa_i in {+1,-1}."""
 
     kappa1: int
@@ -309,11 +305,22 @@ class SubgroupClassLattice:
         self.n_classes = len(self.reps)
         self._class_of = {elems: c for c, (_, orbit, _) in enumerate(found) for elems, _ in orbit}
 
-        # n[h][k] = number of conjugates of the class-k rep that contain rep h
+        # n[h][k] = number of conjugates of the class-k rep that contain rep h.
+        # H <= gKg^-1 needs |H| to divide |K| and every element of H to be
+        # conjugate into K: `meets` has bit x for each element class, named by
+        # its least element x, that a rep meets, and the conjugates are
+        # counted only where rep h's classes are among rep k's
+        least = {}  # element -> least element of its conjugacy class
+        for x in range(group.order):
+            if x not in least:
+                orbit = generated(self.conjugations, lambda y, perm: perm[y], [x])
+                least.update(dict.fromkeys(orbit, x))
+        meets = [sum(1 << x for x in {least[y] for y in rep}) for rep in self.reps]
         masks = [[graph_mask(*key) for key in orbit] for _, orbit, _ in found]
         orders = [len(rep) for rep in self.reps]
         self.n_table = tuple(
-            tuple(sum(1 for m in masks[k] if m & want == want) if order % orders[h] == 0 else 0
+            tuple(sum(1 for m in masks[k] if m & want == want)
+                  if order % orders[h] == 0 and not meets[h] & ~meets[k] else 0
                   for k, order in enumerate(orders))
             for h, want in enumerate(graph_mask(*key) for key, _, _ in found)
         )

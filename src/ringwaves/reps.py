@@ -15,9 +15,9 @@ Circle coordinates must be exact rational turns so that group is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ExactnessError
 from .groups import (
@@ -73,8 +73,7 @@ def galois_average(traces, L: int, order: int) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class DihedralIrrep:
+class DihedralIrrep(NamedTuple):
     """An irreducible representation of D_N."""
 
     label: str  # "trivial" | "geom<j>" | "half" | "sign" | "signsign"
@@ -140,8 +139,7 @@ def isotypic_irreps(N: int) -> list[DihedralIrrep]:
     return out
 
 
-@dataclass(frozen=True)
-class DressedIrrep:
+class DressedIrrep(NamedTuple):
     """A D_N irrep with a Z2 x Z2 dressing.
 
     bit 0: kappa1 acts antipodally, kappa2 trivially; bit 1: both antipodal.
@@ -165,8 +163,7 @@ class DressedIrrep:
         return f"{self.base.label}^{self.bit}"
 
 
-@dataclass(frozen=True)
-class GIrrep:
+class GIrrep(NamedTuple):
     """W_m (x) V_j^bit: the circle acts by the m-fold rotation on W_m."""
 
     m: int
@@ -254,22 +251,39 @@ def fixed_dim(rep, generators) -> int:
     return galois_average((rep.trace(t, g, L) for t, g in group), L, len(group))
 
 
-@dataclass(frozen=True)
 class LaplacianEigendata:
-    """Eigenvalues z_{j,k} >= 0 of an invariant coupling Laplacian."""
+    """Eigenvalues z_{j,k} >= 0 of an invariant coupling Laplacian.
 
-    entries: tuple  # tuple of (j, z, multiplicity)
-    _by_j: dict = field(init=False, repr=False, compare=False)  # j -> (z, mult)
+    Immutable; equal, and hashed, by `entries` alone.
+    """
 
-    def __post_init__(self):
-        by_j = {}
-        for j, z, mult in self.entries:
+    __slots__ = ("entries", "_by_j")
+
+    def __init__(self, entries: tuple):  # tuple of (j, z, multiplicity)
+        by_j = {}  # j -> (z, mult)
+        for j, z, mult in entries:
             # each isotypic block has one eigenvalue: a second row for j
             # would be a second z for one block
             if j in by_j:
                 raise ValueError(f"eigendata lists isotypic index {j} twice")
             by_j[j] = (z, mult)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_j", by_j)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"LaplacianEigendata(entries={self.entries!r})"
 
     def z(self, j: int, k: int = 1) -> float:
         got = self._by_j.get(j)

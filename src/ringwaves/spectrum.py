@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._lazy import np
 from .errors import DegenerateParameterError, SizeCapError
@@ -25,8 +24,7 @@ MAX_FOLDING_BOUND = 100_000
 MAX_WINDOW_CANDIDATES = 1_000_000  # cap on the (m, n, j, k) a window scans
 
 
-@dataclass(frozen=True)
-class CouplingCurve:
+class CouplingCurve(NamedTuple):
     """Strictly monotonic coupling-strength curve alpha -> zeta(alpha)."""
 
     kind: str
@@ -103,30 +101,33 @@ def table_curve(points) -> CouplingCurve:
     return CouplingCurve("user-table", ev, dv, inv, (float(vlo), float(vhi)))
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Fixed model data: rational wave frequency, damping, delay, ring size."""
+class ModelParams(NamedTuple("ModelParams", [
+        ("nu", Fraction), ("delta", float), ("tau", float), ("N", int),
+        ("zeta", CouplingCurve), ("eigendata", LaplacianEigendata)])):
+    """Fixed model data: rational wave frequency, damping, delay, ring size.
 
-    nu: Fraction
-    delta: float
-    tau: float
-    N: int
-    zeta: CouplingCurve = field(default_factory=sigmoid_curve)
-    eigendata: LaplacianEigendata = None
+    `nu` may be given as anything `Fraction` takes; `zeta` defaults to the
+    sigmoid and `eigendata` to the cycle Laplacian's.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.nu, Fraction):
-            object.__setattr__(self, "nu", Fraction(self.nu))
-        if self.nu <= 0:
+    __slots__ = ()
+
+    def __new__(cls, nu, delta: float, tau: float, N: int,
+                zeta: CouplingCurve | None = None, eigendata: LaplacianEigendata | None = None):
+        nu = nu if isinstance(nu, Fraction) else Fraction(nu)
+        if nu <= 0:
             raise ValueError("wave frequency must be a positive rational")
-        if not 0 < self.delta < math.inf:
+        if not 0 < delta < math.inf:
             raise ValueError("damping must be positive and finite")
-        if not 0 < self.tau < math.inf:
+        if not 0 < tau < math.inf:
             raise ValueError("delay must be positive and finite")
-        if self.N < 3:
+        if N < 3:
             raise ValueError("cycle model needs N >= 3")
-        if self.eigendata is None:
-            object.__setattr__(self, "eigendata", cycle_laplacian_eigendata(self.N))
+        if zeta is None:
+            zeta = sigmoid_curve()
+        if eigendata is None:
+            eigendata = cycle_laplacian_eigendata(N)
+        return super().__new__(cls, nu, delta, tau, N, zeta, eigendata)
 
     @property
     def tau_near_pi_rational(self) -> bool:
@@ -148,8 +149,7 @@ class ModelParams:
         return self.zeta.derivative(alpha) * (self.eigendata.z(j, k) + 1.0)
 
 
-@dataclass(frozen=True, order=True)
-class IndexQuad:
+class IndexQuad(NamedTuple):
     m: int
     n: int
     j: int
@@ -264,8 +264,7 @@ def rho(m: int, n: int, j: int, k: int, params: ModelParams, at) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class IndexSets:
+class IndexSets(NamedTuple):
     """Null/negative spectra of the linearization at a parameter point."""
 
     sigma0: tuple  # IndexQuads with m >= 1 (odd only in h_fixed mode)
@@ -340,8 +339,7 @@ def index_sets(alpha: float, beta: float, params: ModelParams, h_fixed: bool = F
     )
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     quad: IndexQuad
     alpha: float
     beta: float

@@ -169,6 +169,8 @@ class TwistedContext:
 class TwistedSum(SparseSum):
     """Integer combination of twisted orbit types (possibly mixed foldings)."""
 
+    __slots__ = ()
+
     @classmethod
     def _key(cls, context, t) -> TwistedOrbitType:
         t = TwistedOrbitType(*t)

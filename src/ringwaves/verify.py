@@ -19,8 +19,8 @@ loses no accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._lazy import np
 from .bifurcation import folding_data
@@ -31,8 +31,7 @@ MAX_EIGENFUNCTION_VALUES = 2_000_000  # cap on m_t * m_x * N; the symmetry check
 MAX_ASSEMBLY_VALUES = 8_000_000  # cap on the values of all blocks of one discretization
 
 
-@dataclass(frozen=True)
-class Discretization:
+class Discretization(NamedTuple):
     """Eigenvalues of the linearized operator, one array per isotypic block."""
 
     mode: str  # "spectral" | "fd"
@@ -183,8 +182,7 @@ def sigma_min_scan(
     return rows
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(NamedTuple):
     """Samples of an N-component field on the periodic-time Dirichlet-space grid."""
 
     t_grid: np.ndarray  # m_t periodic samples of [0, 2 pi)

@@ -70,7 +70,7 @@ def permutation_isotypic(N: int) -> dict:
 
 def fixed_dim(rep, pairs) -> int:
     """Float average of a GIrrep's character over the closure of `pairs`,
-    closed by the oracle's dataclass products."""
+    closed by the oracle's record products."""
     group = closure_oracle(pairs, math.inf)
     return _rounded(sum(g_char(rep, t, g) for t, g in group) / len(group))
 

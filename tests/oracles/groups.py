@@ -1,11 +1,11 @@
-"""The element dataclasses' own product and the Cayley table built from it,
+"""The element records' own product and the Cayley table built from it,
 subgroups counted by brute force (independent of the Goursat listing in
 `ringwaves.groups.enumerate_subgroups`), the subgroup lattice of D_N alone,
 the inflation of subgroup classes from a quotient ring, and small set-level
 helpers that only tests use.
 
 Production multiplies element indices by the closed form
-`ringwaves.groups.mul_index`.  Everything here multiplies the dataclasses
+`ringwaves.groups.mul_index`.  Everything here multiplies the records
 instead, so the oracles share no product with the code they check.
 """
 

@@ -1,5 +1,5 @@
 """Explicit float matrix models, the averaging-projector rank, and the
-circle closure by dataclass products.
+circle closure by record products.
 
 Independent of the exact Galois averages in `ringwaves.reps.fixed_dim`: each
 irrep is rebuilt here as matrices from its data alone (label, `j`, `N`, the
@@ -80,7 +80,7 @@ def fixed_dim_projector_oracle(rep, generators) -> int:
 
 def closure_oracle(generators, limit: int):
     """Set of (turn mod 1, element) pairs generated by `generators`, by
-    breadth-first dataclass products; None once it holds more than `limit`."""
+    breadth-first record products; None once it holds more than `limit`."""
     gens = [(t % 1, g) for t, g in generators]
     g0 = gens[0][1]
     seen = {(Fraction(0), product(g0, inverse(g0)))}

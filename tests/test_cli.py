@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -630,19 +629,19 @@ def test_parser_has_one_flag_per_config_field():
     flags = {a.option_strings[0]: a for a in cli.build_parser()._actions
              if a.option_strings and a.dest != "help"}
     assert flags.pop("--config").dest == "config"
-    fields = dataclasses.fields(cli.RunConfig)
-    assert {f.name for f in fields} - {a.dest for a in flags.values()} == {"zeta_table",
-                                                                          "eigendata"}
-    fields = [f for f in fields if f.name not in ("zeta_table", "eigendata")]
-    assert sorted(flags) == sorted("--" + f.name.replace("_", "-") for f in fields)
+    fields = cli.RunConfig.__annotations__  # field name -> type string
+    assert set(fields) - {a.dest for a in flags.values()} == {"zeta_table", "eigendata"}
+    fields = {name: kind for name, kind in fields.items()
+              if name not in ("zeta_table", "eigendata")}
+    assert sorted(flags) == sorted("--" + name.replace("_", "-") for name in fields)
     types = {"int": int, "int | None": int, "float": float, "float | None": float}
-    for f in fields:
-        action = flags["--" + f.name.replace("_", "-")]
-        assert action.option_strings == ["--" + f.name.replace("_", "-")]
-        assert action.dest == f.name
-        assert action.type is types.get(f.type)
-        assert action.choices == cli.CHOICES.get(f.name)
-        assert (action.nargs, action.const) == ((0, True) if f.type == "bool" else (None, None))
+    for name, kind in fields.items():
+        action = flags["--" + name.replace("_", "-")]
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+        assert action.dest == name
+        assert action.type is types.get(kind)
+        assert action.choices == cli.CHOICES.get(name)
+        assert (action.nargs, action.const) == ((0, True) if kind == "bool" else (None, None))
 
 
 def test_reused_parser_gives_identical_runs(tmp_path, monkeypatch, capsys):
@@ -883,6 +882,16 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "scan.json").exists()
 
 
+def test_cli_import_stays_lean():
+    # every command pays this import first, in a fresh process
+    code = ("import sys, ringwaves.cli\n"
+            "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120)
+    assert got.stdout.strip() == "[]", got.stderr
+
+
 def test_exact_commands_leave_numpy_unloaded(tmp_path):
     # numpy loads on the first float computation: the exact path never makes one
     code = (
@@ -947,13 +956,18 @@ def test_src_holds_no_oracle_and_the_exact_layers_never_load_numpy():
         if path.stem in ("groups", "burnside", "reps", "twisted", "degrees", "bifurcation"):
             named += [(path.name, "_lazy") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                       and "_lazy" in [n.module] + [a.name for a in n.names]]
+        # records are NamedTuples or small explicit classes: dataclasses
+        # would cost every fresh process its import and its code generation
+        named += [(path.name, "dataclasses") for n in ast.walk(tree)
+                  if isinstance(n, ast.Import) and "dataclasses" in [a.name for a in n.names]
+                  or isinstance(n, ast.ImportFrom) and n.module == "dataclasses"]
     assert named == []
     assert [name for name in ringwaves.__all__
             if "oracle" in name.lower() or name in MOVED_OR_DELETED] == []
 
 
 def test_src_has_one_group_product():
-    # groups.mul_index is the product; the Cayley table and the dataclass
+    # groups.mul_index is the product; the Cayley table and the record
     # products live in tests/oracles/groups.py, where they check it
     from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime
 

@@ -1,6 +1,6 @@
 """Property tests for the closures behind `generated_group` and
 `hom_to_circle`, checked with plain Fraction arithmetic and the element
-dataclasses' own product."""
+records' own product."""
 
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ closure_cases = st.tuples(
 @given(closure_cases)
 def test_integer_closure_matches_dataclass_closure(case):
     # integer codes with the closed-form product against (Fraction, element)
-    # pairs multiplied as dataclasses, and the limit on either side of the size
+    # pairs multiplied as records, and the limit on either side of the size
     gens, limit = case
     want = closure_oracle(gens, limit)
     with mock.patch.object(reps, "MAX_CLOSURE_ELEMENTS", limit):

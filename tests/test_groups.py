@@ -76,7 +76,7 @@ def test_cayley_rows_are_permutations():
 
 @pytest.mark.parametrize("n", range(3, 31))
 def test_closed_form_tables_match_the_dataclass_product(n):
-    # the group axioms, checked against the element dataclasses' own product
+    # the group axioms, checked against the element records' own product
     for group in (dihedral_group(n), gamma_prime(n)):
         els, order = group.elements, group.order
         assert order == len(set(els))

@@ -11,7 +11,7 @@ homomorphisms through K^ab.  The oracles here find them by search instead:
 - the class oracle conjugates every subgroup by every element;
 - the orbit oracle builds the (K, phi)-classes with Fraction keys and
   conjugates by every element.
-Every product here comes from the Cayley table of the element dataclasses
+Every product here comes from the Cayley table of the element records
 (`oracles.groups.cayley`), never from production's closed form.
 """
 
