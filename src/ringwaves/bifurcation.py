@@ -5,14 +5,15 @@ null and negative spectra, extracts maximal-kind coefficients, and emits
 branch predictions carrying explicit symmetry generators and machine-checkable
 relations.  The anti-periodic reduction (only odd temporal foldings) removes
 stationary modes, so branches detected that way consist of non-stationary
-solutions; in global mode a same-sign crossing check upgrades them to
-unbounded branches.
+solutions.  Global mode certifies them unbounded by the global alternative
+(Rabinowitz 1971) from the block degrees of their folding.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -249,83 +250,71 @@ class PredictionReport(NamedTuple):
     context: TwistedContext
 
 
-def predict_branches(
-    params: ModelParams,
-    m_max: int,
-    n_max: int,
-    mode: str = "global",
-) -> PredictionReport:
-    """Branch predictions at every windowed odd-folding critical point.
+@lru_cache(maxsize=None)
+def folding_signs(ctx: TwistedContext, m: int) -> dict:
+    """type -> {block: sign of its coefficient} over the twisted basic degrees
+    of every block W_m (x) V_j^bit of folding m: all j, both dressings.
 
-    Per critical point and per maximal orbit type with a nonzero invariant
-    coefficient, emits the type's generators, the induced symmetry relations,
-    and flags.  Global mode additionally requires all crossing signs in each
-    folding slice (across the windowed critical set) to agree, which certifies
-    the branches as unbounded; mixed signs withhold the prediction with a
-    diagnostic instead of guessing.
+    Only nonzero coefficients are listed, blocks in the order (j, bit).
+    """
+    table = {}
+    for j in range(ctx.group.n // 2 + 1):
+        for n in (1, 2):  # the two dressings
+            rep = _block_irrep(ctx.group.n, m, n, j)
+            for t, c in twisted_basic_degree(rep, ctx).coeffs:
+                table.setdefault(t, {})[rep] = 1 if c > 0 else -1
+    return table
+
+
+def predict_branches(params: ModelParams, m_max: int, n_max: int,
+                     mode: str = "global") -> PredictionReport:
+    """Branch predictions at every windowed odd-folding critical point, in one pass.
+
+    A point with a zero crossing sign at its folding is withheld.  Otherwise
+    each maximal orbit type of its block with a nonzero invariant coefficient
+    is emitted with its generators and symmetry relations.  Global mode marks
+    it unbounded by the global alternative: a bounded branch of type t meets
+    finitely many critical points, whose t-coefficients sum to zero.  Only
+    blocks of t's folding m carry t and rho is fixed per m, so that sum cannot
+    vanish when t has one sign in every block of folding m (`folding_signs`).
+    The check ignores the window and the curve; a type of mixed signs is
+    withheld, naming the other-sign block.
     """
     if mode not in ("local", "global"):
         raise ValueError("mode must be 'local' or 'global'")
     lattice = gamma_prime_lattice(params.N)
     ctx = twisted_context(lattice)
-    points = enumerate_critical_points(params, m_max, n_max, odd_m_only=True)
-
-    invariants = {}
-    slice_signs: dict = {}
-    for cp in points:
+    predictions, withheld, invariants = [], [], []
+    for cp in enumerate_critical_points(params, m_max, n_max, odd_m_only=True):
         inv = h_fixed_invariant((cp.alpha, cp.beta), params, lattice)
-        invariants[cp] = inv
-        for quad, sign in inv.contributions:
-            slice_signs.setdefault(quad.m, set()).add(sign)
-
-    predictions = []
-    withheld = []
-    for cp in points:
-        inv = invariants[cp]
-        s = cp.quad.m
-        signs_here = {sign for quad, sign in inv.contributions if quad.m == s}
-        if 0 in signs_here:
+        invariants.append((cp, inv))
+        m, n, j, _k = cp.quad
+        if any(sign == 0 for quad, sign in inv.contributions if quad.m == m):
             withheld.append((cp, "degenerate crossing: zero coupling derivative"))
             continue
-        if len(signs_here) > 1:
-            withheld.append((cp, "mixed crossing signs within the folding slice"))
-            continue
-        if mode == "global" and len(slice_signs.get(s, set()) - {0}) > 1:
-            withheld.append(
-                (cp, "mixed crossing signs across the windowed critical set")
-            )
-            continue
-        gen_map = maximal_orbit_generators(params.N, s, cp.quad.n, cp.quad.j)
-        rep = _block_irrep(params.N, s, cp.quad.n, cp.quad.j)
-        block = twisted_basic_degree(rep, ctx)
-        for kind in sorted(gen_map):
-            gens = gen_map[kind]
-            t = generators_to_type(ctx, gens, s)
+        rep = _block_irrep(params.N, m, n, j)
+        signs = folding_signs(ctx, m)
+        for kind, gens in sorted(maximal_orbit_generators(params.N, m, n, j).items()):
+            t = generators_to_type(ctx, gens, m)
+            row = signs.get(t, {})
             # a maximal isotropy type has coefficient dim Fix / (2 |W(H)/S^1|) > 0
             # in its block's degree, so a zero means the generators are wrong
-            if block.coeff(t) == 0:
+            if rep not in row:
                 raise ExactnessError(f"{kind}-generators give a type outside the twisted "
                                      f"basic degree of {rep.label}")
             coeff = inv.value.coeff(t)
             if coeff == 0:
                 continue
-            predictions.append(
-                BranchPrediction(
-                    point=cp,
-                    kind=kind,
-                    coeff=coeff,
-                    generators=gens,
-                    relations=tuple(symmetry_relations(gens)),
-                    unbounded=mode == "global",
-                    non_stationary=True,
-                )
-            )
-    return PredictionReport(
-        predictions=tuple(predictions),
-        withheld=tuple(withheld),
-        invariants=tuple(invariants.items()),
-        context=ctx,
-    )
+            other = next((b for b, sign in row.items() if sign != row[rep]), None)
+            if mode == "global" and other is not None:
+                withheld.append((cp, f"{kind} type has the opposite sign in {other.label}"))
+                continue
+            predictions.append(BranchPrediction(
+                point=cp, kind=kind, coeff=coeff, generators=gens,
+                relations=tuple(symmetry_relations(gens)), unbounded=mode == "global",
+                non_stationary=True))
+    return PredictionReport(predictions=tuple(predictions), withheld=tuple(withheld),
+                            invariants=tuple(invariants), context=ctx)
 
 
 def generators_json(gens: OrbitGenerators) -> list:

@@ -250,8 +250,9 @@ def rho(m: int, n: int, j: int, k: int, params: ModelParams, at) -> int:
 
     The parameter Jacobian of mu is triangular up to the nonzero factor
     1/xi_{m,n}, which rotates the plane and cannot change the sign of the
-    determinant.  Returns 0 (with the degeneracy surfaced by the caller)
-    when the coupling derivative vanishes.
+    determinant.  The curve is strictly monotone and z_jk + 1 >= 1, so the
+    sign is fixed per m.  It is 0 only when the product underflows; the
+    caller surfaces that degeneracy.
     """
     alpha0, _beta0 = at
     s = _sin_m_tau(m, params)

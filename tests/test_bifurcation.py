@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from ringwaves import bifurcation
 from ringwaves.bifurcation import (
     folding_data,
+    folding_signs,
     generators_to_type,
     h_fixed_invariant,
     local_invariant,
@@ -19,13 +21,22 @@ from ringwaves.bifurcation import (
 from ringwaves.burnside import BurnsideElement
 from ringwaves.degrees import twisted_basic_degree, twisted_fixed_dims
 from ringwaves.errors import DegenerateParameterError
-from ringwaves.reps import DressedIrrep, GIrrep, dressing_bit, fixed_dim, isotypic_irreps
+from ringwaves.reps import (
+    DressedIrrep,
+    GIrrep,
+    LaplacianEigendata,
+    dressing_bit,
+    fixed_dim,
+    isotypic_irreps,
+)
 from ringwaves.spectrum import (
     IndexQuad,
     ModelParams,
     critical_point,
+    enumerate_critical_points,
     linear_curve,
     rho,
+    sigmoid_curve,
 )
 from ringwaves.groups import gamma_prime_lattice
 from ringwaves.twisted import TwistedSum, module_product, twisted_context
@@ -229,6 +240,102 @@ def test_predict_n7_three_kinds():
     report = predict_branches(p7, 1, 1, mode="global")
     kinds = sorted(p.kind for p in report.predictions if p.point.quad.j == 1)
     assert kinds == ["H", "S", "T"]
+
+
+def test_zero_coupling_derivative_withholds_the_point(params):
+    # rho is 0 only when -zeta' (z + 1) sin(m tau) is 0: such a point gets no
+    # branches, in either mode
+    flat = params._replace(zeta=sigmoid_curve()._replace(derivative=lambda a: 0.0))
+    points = enumerate_critical_points(flat, 3, 3)
+    assert points
+    for mode in ("global", "local"):
+        report = predict_branches(flat, 3, 3, mode=mode)
+        assert not report.predictions
+        assert report.withheld == tuple(
+            (cp, "degenerate crossing: zero coupling derivative") for cp in points)
+
+
+def test_every_emitted_type_has_one_sign_over_its_folding():
+    # the global certificate holds for every block the generators can emit:
+    # each maximal type's coefficient has one sign, or is 0, in the twisted
+    # basic degree of every block of its folding
+    for n_ring in range(3, 17):
+        ctx = twisted_context(gamma_prime_lattice(n_ring))
+        for m in (1, 3):
+            table = folding_signs(ctx, m)
+            blocks = [GIrrep(m, DressedIrrep(irrep, bit))
+                      for irrep in isotypic_irreps(n_ring) for bit in (0, 1)]
+            assert {(t, b) for t, row in table.items() for b in row} == {
+                (t, b) for b in blocks for t, _c in twisted_basic_degree(b, ctx).coeffs}
+            for j in range(n_ring // 2 + 1):
+                for n in (1, 2):
+                    rep = GIrrep(m, DressedIrrep(isotypic_irreps(n_ring)[j], dressing_bit(n)))
+                    for kind, gens in maximal_orbit_generators(n_ring, m, n, j).items():
+                        row = table[generators_to_type(ctx, gens, m)]
+                        assert row[rep] == 1, (n_ring, m, n, j, kind)
+                        assert set(row.values()) == {1}, (n_ring, m, n, j, kind, row)
+
+
+@pytest.fixture()
+def fresh_folding_signs():
+    yield
+    folding_signs.cache_clear()  # drop the tables built from a patched degree
+
+
+def _branch_keys(report):
+    return [(p.point, p.kind, p.coeff, p.unbounded) for p in report.predictions]
+
+
+def test_opposite_sign_in_another_block_withholds_that_branch(monkeypatch, fresh_folding_signs):
+    # only j = 1 in the coupling spectrum: the window holds the one point
+    # (1, 1, 1), whose S type also lives in the blocks of j = 2 and 3
+    p7 = ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=7)
+    p7 = p7._replace(eigendata=LaplacianEigendata(((1, p7.eigendata.z(1), 1),)))
+    before = {mode: predict_branches(p7, 1, 1, mode=mode) for mode in ("global", "local")}
+    (cp,) = {p.point for p in before["global"].predictions}
+    assert not before["global"].withheld
+    ctx = before["global"].context
+    gens = maximal_orbit_generators(7, 1, 1, 1)["S"]
+    t = generators_to_type(ctx, gens, 1)
+    own = GIrrep(1, DressedIrrep(isotypic_irreps(7)[1], 0))
+    other = next(b for b in folding_signs(ctx, 1)[t] if b != own)
+    real = bifurcation.twisted_basic_degree
+
+    def flipped(rep, context):
+        deg = real(rep, context)
+        if rep != other:
+            return deg
+        return TwistedSum.from_dict(context, {k: -v if k == t else v for k, v in deg.coeffs})
+
+    monkeypatch.setattr(bifurcation, "twisted_basic_degree", flipped)
+    folding_signs.cache_clear()
+    after = predict_branches(p7, 1, 1, mode="global")
+    assert after.withheld == ((cp, f"S type has the opposite sign in {other.label}"),)
+    assert _branch_keys(after) == [
+        key for key in _branch_keys(before["global"]) if key[1] != "S"]
+    payload = prediction_report_json(p7, 1, 1, after)
+    assert payload["withheld"] == [
+        {"m": 1, "n": 1, "j": 1, "reason": f"S type has the opposite sign in {other.label}"}]
+    # local mode makes no global claim, so it emits the branch as before
+    local = predict_branches(p7, 1, 1, mode="local")
+    assert not local.withheld
+    assert _branch_keys(local) == _branch_keys(before["local"])
+
+
+@pytest.mark.parametrize("n_ring", [3, 6, 7])
+def test_prediction_at_a_point_does_not_depend_on_the_window(n_ring):
+    params = ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=n_ring)
+    small, large = (predict_branches(params, w, w) for w in (3, 5))
+
+    def at(report, cp):
+        branches = [(p.kind, p.coeff, p.unbounded) for p in report.predictions
+                    if p.point == cp]
+        return branches, [why for point, why in report.withheld if point == cp]
+
+    points = [cp for cp, _inv in small.invariants]
+    assert points and set(points) < {cp for cp, _inv in large.invariants}
+    for cp in points:
+        assert at(small, cp) == at(large, cp)
 
 
 def test_prediction_json_schema(params):

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ringwaves.errors import DegenerateParameterError
+from ringwaves.reps import LaplacianEigendata
 from ringwaves.spectrum import (
     IndexQuad,
     ModelParams,
@@ -142,6 +145,62 @@ def test_rho_signs(params):
     # m = 3 flips the sign of sin(m tau)
     cp3 = critical_point(3, 4, 1, 1, params)
     assert rho(3, 4, 1, 1, params, cp3) == 1
+
+
+def _table_curves():
+    # strictly monotone: positive steps in alpha and in value, in either direction
+    steps = st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)),
+                     min_size=1, max_size=5)
+
+    def build(args):
+        a, v, sign, rows = args
+        points = [(a, v)]
+        for da, dv in rows:
+            a, v = a + da, v + sign * dv
+            points.append((a, v))
+        return table_curve(points)
+
+    return st.tuples(st.floats(-10.0, 10.0), st.floats(-20.0, 20.0),
+                     st.sampled_from((1, -1)), steps).map(build)
+
+
+# a slope of magnitude below 1e-100 keeps -zeta' (z + 1) sin(m tau) a normal float
+_slopes = st.floats(1e-100, 1e100).flatmap(lambda s: st.sampled_from((s, -s)))
+_curves = st.one_of(
+    st.builds(sigmoid_curve),
+    st.builds(linear_curve, _slopes, st.floats(-20.0, 20.0)),
+    _table_curves(),
+)
+
+
+@st.composite
+def _eigendata(draw, n_ring):
+    js = draw(st.lists(st.integers(0, n_ring // 2), min_size=1, unique=True))
+    return LaplacianEigendata(tuple(
+        (j, draw(st.floats(0.0, 50.0)), draw(st.integers(1, 3))) for j in js))
+
+
+@given(st.data())
+def test_rho_depends_on_m_alone(data):
+    # every accepted curve is strictly monotone and z >= 0, so the crossing
+    # sign sign(-zeta'(alpha0) (z_j + 1) sin(m tau)) cannot depend on (n, j, k):
+    # the global certificate of predict rests on this
+    n_ring = data.draw(st.integers(3, 8))
+    tau = data.draw(st.floats(0.05, 6.0))
+    assume(all(abs(math.sin(m * tau)) > 1e-6 for m in range(1, 6)))
+    params = ModelParams(
+        nu=data.draw(st.fractions(Fraction(1, 4), 3, max_denominator=8)),
+        delta=data.draw(st.floats(0.05, 5.0)),
+        tau=tau,
+        N=n_ring,
+        zeta=data.draw(_curves),
+        eigendata=data.draw(_eigendata(n_ring)),
+    )
+    signs = {}
+    for cp in enumerate_critical_points(params, 5, 6, odd_m_only=False):
+        m, n, j, k = cp.quad
+        signs.setdefault(m, set()).add(rho(m, n, j, k, params, (cp.alpha, cp.beta)))
+    assert all(len(got) == 1 and 0 not in got for got in signs.values()), signs
 
 
 def test_winding_matches_rho(params):
