@@ -6,14 +6,17 @@ branch predictions carrying explicit symmetry generators and machine-checkable
 relations.  The anti-periodic reduction (only odd temporal foldings) removes
 stationary modes, so branches detected that way consist of non-stationary
 solutions.  Global mode certifies them unbounded by the global alternative
-(Rabinowitz 1971) from the block degrees of their folding.
+(Rabinowitz 1971), which needs a branch's type to have one sign in every
+block degree of its folding.  The only negative type of a block's degree
+is the block's kernel (Balanov, Krawcewicz and Steinlein 2006), and no
+emitted generator list generates a kernel: each holds a reflection or
+gamma^(+-1), which act on a geometric V_j as no scalar.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -250,20 +253,15 @@ class PredictionReport(NamedTuple):
     context: TwistedContext
 
 
-@lru_cache(maxsize=None)
-def folding_signs(ctx: TwistedContext, m: int) -> dict:
-    """type -> {block: sign of its coefficient} over the twisted basic degrees
-    of every block W_m (x) V_j^bit of folding m: all j, both dressings.
+def escapes_block_kernels(gens: OrbitGenerators) -> bool:
+    """Whether the list holds a reflection or gamma^(+-1).
 
-    Only nonzero coefficients are listed, blocks in the order (j, bit).
+    Neither acts on a geometric V_j as a scalar, while the kernel K0 of a
+    block W_m (x) V_j^bit acts on V_j as +-1: a list holding one generates
+    no block's kernel, up to conjugacy.
     """
-    table = {}
-    for j in range(ctx.group.n // 2 + 1):
-        for n in (1, 2):  # the two dressings
-            rep = _block_irrep(ctx.group.n, m, n, j)
-            for t, c in twisted_basic_degree(rep, ctx).coeffs:
-                table.setdefault(t, {})[rep] = 1 if c > 0 else -1
-    return table
+    n = gens.elements[0][1].dihedral.n
+    return any(el.dihedral.ref or el.dihedral.rot in (1, n - 1) for _t, el in gens.elements)
 
 
 def predict_branches(params: ModelParams, m_max: int, n_max: int,
@@ -276,9 +274,12 @@ def predict_branches(params: ModelParams, m_max: int, n_max: int,
     it unbounded by the global alternative: a bounded branch of type t meets
     finitely many critical points, whose t-coefficients sum to zero.  Only
     blocks of t's folding m carry t and rho is fixed per m, so that sum cannot
-    vanish when t has one sign in every block of folding m (`folding_signs`).
-    The check ignores the window and the curve; a type of mixed signs is
-    withheld, naming the other-sign block.
+    vanish when t has one sign in every block degree of folding m.  By the
+    recurrence for twisted basic degrees a block's degree is (H) at j = 0 and
+    N/2 and (H) + (S) + (T) - (K0) otherwise, K0 the block's kernel, so t has
+    one sign unless it is some block's kernel, which `escapes_block_kernels`
+    rules out.  Every emitted list passes; a branch whose list fails is
+    withheld, naming its kind.  The check ignores the window and the curve.
     """
     if mode not in ("local", "global"):
         raise ValueError("mode must be 'local' or 'global'")
@@ -293,21 +294,19 @@ def predict_branches(params: ModelParams, m_max: int, n_max: int,
             withheld.append((cp, "degenerate crossing: zero coupling derivative"))
             continue
         rep = _block_irrep(params.N, m, n, j)
-        signs = folding_signs(ctx, m)
+        own = twisted_basic_degree(rep, ctx)  # cached by the invariant just built
         for kind, gens in sorted(maximal_orbit_generators(params.N, m, n, j).items()):
             t = generators_to_type(ctx, gens, m)
-            row = signs.get(t, {})
             # a maximal isotropy type has coefficient dim Fix / (2 |W(H)/S^1|) > 0
             # in its block's degree, so a zero means the generators are wrong
-            if rep not in row:
+            if own.coeff(t) == 0:
                 raise ExactnessError(f"{kind}-generators give a type outside the twisted "
                                      f"basic degree of {rep.label}")
             coeff = inv.value.coeff(t)
             if coeff == 0:
                 continue
-            other = next((b for b, sign in row.items() if sign != row[rep]), None)
-            if mode == "global" and other is not None:
-                withheld.append((cp, f"{kind} type has the opposite sign in {other.label}"))
+            if mode == "global" and not escapes_block_kernels(gens):
+                withheld.append((cp, f"{kind} generators hold no reflection and no gamma^(+-1)"))
                 continue
             predictions.append(BranchPrediction(
                 point=cp, kind=kind, coeff=coeff, generators=gens,

@@ -340,11 +340,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     ring_min = min(r[2] for r in rows[1:])
     verdict = "singular" if center <= 0.1 * ring_min else "no singularity"
     if cfg.out:
-        path = Path(cfg.out)
-        with path.with_suffix(".csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d_alpha", "d_beta", "sigma_min"])
-            writer.writerows(rows)
+        _write_csv(Path(cfg.out).with_suffix(".csv"), ["d_alpha", "d_beta", "sigma_min"], rows)
     _emit(
         {
             "schema": SCHEMA_VERSION,
@@ -362,6 +358,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         cfg.out,
     )
     return 0
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_grid_csv(grid: verify_mod.GridFunction, path) -> None:
@@ -406,15 +409,19 @@ def cmd_export_eigenfunction(cfg: RunConfig) -> int:
     if cfg.grid_t < 1 or cfg.grid_x < 1:
         raise ValueError(
             f"--grid-t and --grid-x must be at least 1, got {cfg.grid_t}x{cfg.grid_x}")
+    if n % (cfg.grid_x + 1) == 0:
+        # the profile cos(nx) or sin(nx) vanishes at every x sample
+        # -pi/2 + pi k / (grid_x + 1), and a zero grid passes every relation
+        raise ValueError(f"--grid-x {cfg.grid_x} samples the transverse mode n = {n} only at "
+                         f"its zeros: grid_x + 1 must not divide n")
     if not cfg.symmetry_tol >= 0:
         raise ValueError(f"--symmetry-tol must be at least 0, got {cfg.symmetry_tol}")
     generators = maximal_orbit_generators(params.N, m, n, j)
     # a kind the block lacks has no relations here; eigenfunction rejects it
     rels = symmetry_relations(generators[cfg.kind]) if cfg.kind in generators else []
     # a shift off the time grid is a trigonometric interpolation, exact for
-    # cos(m t) only above the Nyquist rate; when grid_x + 1 divides n the
-    # transverse profile vanishes on every x sample, and a zero grid passes
-    if (cfg.grid_t <= 2 * m and n % (cfg.grid_x + 1)
+    # cos(m t) only above the Nyquist rate
+    if (cfg.grid_t <= 2 * m
             and any((r.t_shift_turns * cfg.grid_t).denominator != 1 for r in rels)):
         raise ValueError(f"--grid-t {cfg.grid_t} is too coarse for m = {m}: kind {cfg.kind} "
                          f"shifts time off the grid, exact only above 2m = {2 * m} samples")
@@ -450,40 +457,24 @@ def cmd_group_tables(cfg: RunConfig) -> int:
     lattice = gamma_prime_lattice(params.N)
     outdir = Path(cfg.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "classes.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "order", "weyl", "representative"])
-        for c in range(lattice.n_classes):
-            rep = lattice.reps[c]
-            writer.writerow([c, len(rep), lattice.weyl[c], " ".join(map(str, rep))])
-    with (outdir / "subconjugation.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["H", "K", "n(H,K)"])
-        for h in range(lattice.n_classes):
-            for k in range(lattice.n_classes):
-                if lattice.n_table[h][k]:
-                    writer.writerow([h, k, lattice.n_table[h][k]])
+    _write_csv(outdir / "classes.csv", ["class", "order", "weyl", "representative"],
+               ([c, len(rep), lattice.weyl[c], " ".join(map(str, rep))]
+                for c, rep in enumerate(lattice.reps)))
+    _write_csv(outdir / "subconjugation.csv", ["H", "K", "n(H,K)"],
+               ([h, k, count] for h, row in enumerate(lattice.n_table)
+                for k, count in enumerate(row) if count))
     table = multiplication_table(lattice)
-    with (outdir / "burnside_products.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["H", "K", "L", "coeff"])
-        for (h, k), prod in sorted(table.items()):
-            for low, coeff in sorted(prod.items()):
-                writer.writerow([h, k, low, coeff])
+    _write_csv(outdir / "burnside_products.csv", ["H", "K", "L", "coeff"],
+               ([h, k, low, coeff] for (h, k), prod in sorted(table.items())
+                for low, coeff in sorted(prod.items())))
     if cfg.characters:
         dn = dihedral_group(params.N)
-        with (outdir / "characters.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            elems = [dn.elements[i] for i in range(dn.order)]
-            writer.writerow(["irrep"] + [str(e) for e in elems])
-            for ir in character_table(params.N):
-                writer.writerow([ir.label] + [f"{ir.char(e):.12g}" for e in elems])
-    eig = cycle_laplacian_eigendata(params.N)
-    with (outdir / "laplacian.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "z", "multiplicity"])
-        for j, z, mult in eig.entries:
-            writer.writerow([j, f"{z:.16g}", mult])
+        elems = [dn.elements[i] for i in range(dn.order)]
+        _write_csv(outdir / "characters.csv", ["irrep"] + [str(e) for e in elems],
+                   ([ir.label] + [f"{ir.char(e):.12g}" for e in elems]
+                    for ir in character_table(params.N)))
+    _write_csv(outdir / "laplacian.csv", ["j", "z", "multiplicity"],
+               ([j, f"{z:.16g}", mult] for j, z, mult in cycle_laplacian_eigendata(params.N).entries))
     print(json.dumps({"schema": SCHEMA_VERSION, "outdir": str(outdir)}, sort_keys=True))
     return 0
 

@@ -8,8 +8,9 @@ import pytest
 
 from ringwaves import bifurcation
 from ringwaves.bifurcation import (
+    OrbitGenerators,
+    escapes_block_kernels,
     folding_data,
-    folding_signs,
     generators_to_type,
     h_fixed_invariant,
     local_invariant,
@@ -38,10 +39,10 @@ from ringwaves.spectrum import (
     rho,
     sigmoid_curve,
 )
-from ringwaves.groups import gamma_prime_lattice
+from ringwaves.groups import gamma_prime_element, gamma_prime_lattice
 from ringwaves.twisted import TwistedSum, module_product, twisted_context
 
-from oracles.degrees import maximal_kind_types
+from oracles.degrees import folding_signs, maximal_kind_types
 
 
 @pytest.fixture()
@@ -257,69 +258,72 @@ def test_zero_coupling_derivative_withholds_the_point(params):
 
 def test_every_emitted_type_has_one_sign_over_its_folding():
     # the global certificate holds for every block the generators can emit:
-    # each maximal type's coefficient has one sign, or is 0, in the twisted
-    # basic degree of every block of its folding
+    # each emitted list escapes the block kernels and its type's coefficient
+    # has one sign, or is 0, in the twisted basic degree of every block of its
+    # folding; the types of negative coefficient are the kernels, which fail
     for n_ring in range(3, 17):
         ctx = twisted_context(gamma_prime_lattice(n_ring))
+        L = ctx.denominator
         for m in (1, 3):
             table = folding_signs(ctx, m)
-            blocks = [GIrrep(m, DressedIrrep(irrep, bit))
-                      for irrep in isotypic_irreps(n_ring) for bit in (0, 1)]
-            assert {(t, b) for t, row in table.items() for b in row} == {
-                (t, b) for b in blocks for t, _c in twisted_basic_degree(b, ctx).coeffs}
             for j in range(n_ring // 2 + 1):
                 for n in (1, 2):
                     rep = GIrrep(m, DressedIrrep(isotypic_irreps(n_ring)[j], dressing_bit(n)))
                     for kind, gens in maximal_orbit_generators(n_ring, m, n, j).items():
+                        assert escapes_block_kernels(gens), (n_ring, m, n, j, kind)
                         row = table[generators_to_type(ctx, gens, m)]
                         assert row[rep] == 1, (n_ring, m, n, j, kind)
                         assert set(row.values()) == {1}, (n_ring, m, n, j, kind, row)
-
-
-@pytest.fixture()
-def fresh_folding_signs():
-    yield
-    folding_signs.cache_clear()  # drop the tables built from a patched degree
+            negative = [t for t, row in table.items() if -1 in row.values()]
+            assert negative  # j = 1 is geometric for every N >= 3
+            for t in negative:
+                elems, turns = ctx.class_keys[t.kphi]
+                subgroup = OrbitGenerators("K0", tuple(
+                    (Fraction(turn, L), gamma_prime_element(k, n_ring))
+                    for k, turn in zip(elems, turns)))
+                assert not escapes_block_kernels(subgroup), (n_ring, m, ctx.type_str(t))
 
 
 def _branch_keys(report):
     return [(p.point, p.kind, p.coeff, p.unbounded) for p in report.predictions]
 
 
-def test_opposite_sign_in_another_block_withholds_that_branch(monkeypatch, fresh_folding_signs):
+def test_a_kernel_generator_list_is_withheld_in_global_mode(monkeypatch):
     # only j = 1 in the coupling spectrum: the window holds the one point
-    # (1, 1, 1), whose S type also lives in the blocks of j = 2 and 3
+    # (1, 1, 1).  Cut to the anti-periodicity and the space parity, the S list
+    # generates the block's kernel K0, of coefficient -1 in the block's
+    # degree: global mode cannot certify it, local mode emits it
     p7 = ModelParams(nu=Fraction(1), delta=1.0, tau=2.0, N=7)
     p7 = p7._replace(eigendata=LaplacianEigendata(((1, p7.eigendata.z(1), 1),)))
     before = {mode: predict_branches(p7, 1, 1, mode=mode) for mode in ("global", "local")}
     (cp,) = {p.point for p in before["global"].predictions}
     assert not before["global"].withheld
+    real = bifurcation.maximal_orbit_generators
+
+    def kernel_s(N, m, n, j):
+        gens = real(N, m, n, j)
+        gens["S"] = OrbitGenerators("S", gens["S"].elements[:2])
+        return gens
+
     ctx = before["global"].context
-    gens = maximal_orbit_generators(7, 1, 1, 1)["S"]
-    t = generators_to_type(ctx, gens, 1)
+    kernel = generators_to_type(ctx, kernel_s(7, 1, 1, 1)["S"], 1)
     own = GIrrep(1, DressedIrrep(isotypic_irreps(7)[1], 0))
-    other = next(b for b in folding_signs(ctx, 1)[t] if b != own)
-    real = bifurcation.twisted_basic_degree
-
-    def flipped(rep, context):
-        deg = real(rep, context)
-        if rep != other:
-            return deg
-        return TwistedSum.from_dict(context, {k: -v if k == t else v for k, v in deg.coeffs})
-
-    monkeypatch.setattr(bifurcation, "twisted_basic_degree", flipped)
-    folding_signs.cache_clear()
+    assert twisted_basic_degree(own, ctx).coeff(kernel) == -1
+    monkeypatch.setattr(bifurcation, "maximal_orbit_generators", kernel_s)
+    reason = "S generators hold no reflection and no gamma^(+-1)"
     after = predict_branches(p7, 1, 1, mode="global")
-    assert after.withheld == ((cp, f"S type has the opposite sign in {other.label}"),)
+    assert after.withheld == ((cp, reason),)
     assert _branch_keys(after) == [
         key for key in _branch_keys(before["global"]) if key[1] != "S"]
     payload = prediction_report_json(p7, 1, 1, after)
-    assert payload["withheld"] == [
-        {"m": 1, "n": 1, "j": 1, "reason": f"S type has the opposite sign in {other.label}"}]
-    # local mode makes no global claim, so it emits the branch as before
+    assert payload["withheld"] == [{"m": 1, "n": 1, "j": 1, "reason": reason}]
+    # local mode makes no global claim: it emits the kernel's branch
     local = predict_branches(p7, 1, 1, mode="local")
+    sign = rho(1, 1, 1, 1, p7, (cp.alpha, cp.beta))
     assert not local.withheld
-    assert _branch_keys(local) == _branch_keys(before["local"])
+    assert _branch_keys(local) == [
+        (cp, "S", -sign, False) if key[1] == "S" else key
+        for key in _branch_keys(before["local"])]
 
 
 @pytest.mark.parametrize("n_ring", [3, 6, 7])

@@ -214,12 +214,9 @@ def test_grid_csv_writer_matches_csv_writer(tmp_path_factory, grid):
 @pytest.mark.parametrize("argv", [
     ["--m", "3", "--n", "1", "--kind", "T", "--grid-t", "6", "--grid-x", "4"],
     ["--m", "2", "--n", "1", "--kind", "H", "--grid-t", "5", "--grid-x", "4"],
-    ["--m", "1", "--n", "2", "--kind", "H", "--grid-t", "1", "--grid-x", "1"],
-    ["--m", "2", "--n", "3", "--kind", "S", "--grid-t", "3", "--grid-x", "2"],
-], ids=["on-grid-2m", "above-2m", "zero-profile-even-n", "zero-profile-odd-n"])
+], ids=["on-grid-2m", "above-2m"])
 def test_export_time_grid_check_admits_exact_cases(tmp_path, capsys, argv):
-    # 2m samples pass when every shift lands on the grid, 2m + 1 always; a
-    # transverse profile that vanishes on every x sample passes at any grid-t
+    # 2m samples pass when every shift lands on the grid, 2m + 1 always
     out_csv = tmp_path / "u.csv"
     assert main(["export-eigenfunction", "--N", "3", "--j", "1", "--out", str(out_csv)] + argv) == 0
     assert json.loads(capsys.readouterr().out)["max_violation"] <= 1e-12
@@ -460,6 +457,12 @@ def test_critical_points_are_sorted_for_unsorted_eigendata(tmp_path, capsys):
           "--grid-t", "1", "--grid-x", "4"], None, "--grid-t 1 is too coarse for m = 1"),
         (["export-eigenfunction", "--N", "3", "--m", "2", "--n", "1", "--j", "1", "--kind", "H",
           "--grid-t", "4", "--grid-x", "4"], None, "--grid-t 4 is too coarse for m = 2"),
+        (["export-eigenfunction", "--N", "3", "--m", "1", "--n", "2", "--j", "1", "--kind", "H",
+          "--grid-t", "1", "--grid-x", "1"], None,
+         "--grid-x 1 samples the transverse mode n = 2 only at its zeros"),
+        (["export-eigenfunction", "--N", "3", "--m", "2", "--n", "3", "--j", "1", "--kind", "S",
+          "--grid-t", "3", "--grid-x", "2"], None,
+         "--grid-x 2 samples the transverse mode n = 3 only at its zeros"),
     ],
     ids=["size-cap", "config-not-object", "config-missing", "config-type", "eigendata-index",
          "choice-mode", "choice-prediction-mode", "choice-kind", "choice-zeta", "nu-zero-denominator",
@@ -470,7 +473,8 @@ def test_critical_points_are_sorted_for_unsorted_eigendata(tmp_path, capsys):
          "invariant-n-zero", "invariant-n-negative", "invariant-alpha-alone",
          "verify-beta-alone", "config-alpha-alone", "predict-tau-overflow",
          "invariant-tau-overflow", "export-grid-t-below-nyquist-T",
-         "export-grid-t-below-nyquist-H"],
+         "export-grid-t-below-nyquist-H", "export-zero-profile-even-n",
+         "export-zero-profile-odd-n"],
 )
 def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, config, fragment):
     monkeypatch.chdir(tmp_path)
@@ -937,7 +941,7 @@ def test_no_module_imports_numpy_at_top_level():
 MOVED_OR_DELETED = {
     "maximal_kind_types", "isotropy_types", "fold", "representative", "dihedral_lattice",
     "permutation_isotypic", "TwistedSubgroup", "twisted_fixed_dim", "_twisted_fixed_dims",
-    "_positive_dim_types", "Subgroup", "from_set", "full_class",
+    "_positive_dim_types", "Subgroup", "from_set", "full_class", "folding_signs",
 }
 
 

@@ -10,11 +10,11 @@ from ringwaves.bifurcation import generators_to_type, maximal_orbit_generators
 from ringwaves.burnside import BurnsideElement
 from ringwaves.degrees import basic_degree, linear_iso_degree, twisted_basic_degree, twisted_fixed_dims
 from ringwaves.groups import gamma_prime_lattice
-from ringwaves.reps import DressedIrrep, GIrrep, character_table, isotypic_irreps
+from ringwaves.reps import DressedIrrep, GIrrep, character_table, dressing_bit, isotypic_irreps
 from ringwaves.twisted import twisted_context
 
 from oracles.burnside import multiply_oracle
-from oracles.degrees import isotropy_types, maximal_kind_types
+from oracles.degrees import closed_form_degree, isotropy_types, maximal_kind_types
 from oracles.groups import dihedral_lattice, inflate_class
 from oracles.twisted import fold, inflate, quotient_weyl_oracle
 
@@ -112,6 +112,20 @@ def test_maximal_twisted_coefficients_equal_dim_over_twice_weyl(case):
     for t in types:
         dim = twisted_fixed_dims(ctx, rep.dressed)[t.kphi]
         assert 2 * quotient_weyl_oracle(ctx, t) * deg.coeff(t) == dim, (n, ir.label, bit, m)
+
+
+@pytest.mark.parametrize("n_ring", range(3, 26))
+def test_block_degree_has_its_closed_form(n_ring):
+    # the argument behind predict's global claim: a block's degree is (H) at
+    # j = 0, N/2 and (H) + (S) + (T) - (K0) otherwise, so its only negative
+    # type is its kernel K0; over predict's range N = 3..25, 1068 blocks
+    ctx = twisted_context(gamma_prime_lattice(n_ring))
+    for m in (1, 2, 3):
+        for n in (1, 2):
+            for j in range(n_ring // 2 + 1):
+                rep = GIrrep(m, DressedIrrep(isotypic_irreps(n_ring)[j], dressing_bit(n)))
+                assert closed_form_degree(ctx, m, n, j) == dict(
+                    twisted_basic_degree(rep, ctx).coeffs), (n_ring, m, n, j)
 
 
 def test_fold_relates_twisted_degrees(ctx3):
