@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ExactnessError
-from .groups import SubgroupClassLattice
+from .groups import SubgroupClassLattice, bits
 
 
 def solve_marks(order, lead, mark, weyl) -> dict:
@@ -153,28 +153,45 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     return bilinear(a, b, lambda h, k: _generator_product(a.owner, min(h, k), max(h, k)))
 
 
-@lru_cache(maxsize=None)
-def _generator_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
+def _solve_product(cols, weyl, h: int, k: int, below) -> dict:
     """(H)*(K) = sum n_L (L): the marks of (H)(K) at L are the products of theirs.
 
-    Callers pass h <= k, so each unordered pair has one cache entry.  The
-    solve runs over the classes below both (H) and (K) only: elsewhere the
-    lead is zero, and every mark n(L, U) != 0 of a nonzero c_U has
-    (L) <= (U) <= (H), (K), so the full solve gives zero there too.
+    `cols` are the mark columns of `_mark_columns` and `below` the classes
+    below both (H) and (K), the set bits of both down-set masks, low to
+    high, which is top-down: elsewhere the lead is zero, and every mark
+    n(L, U) != 0 of a nonzero c_U has (L) <= (U) <= (H), (K), so the full
+    solve gives zero there too.  It is `solve_marks` with the columns read
+    directly: passing them to `solve_marks` as functions about doubles the
+    time of `multiplication_table`.
     """
-    n, w = lat.n_table, lat.weyl
-    below_both = [L for L in _down_set(lat, h) if n[L][k]]
-    return solve_marks(below_both, lambda L: n[L][h] * w[h] * n[L][k] * w[k],
-                       lat.n, w.__getitem__)
+    col_h, col_k = cols[h], cols[k]
+    res: dict = {}
+    for t in below:
+        lead = col_h[t] * col_k[t]
+        for u, v in res.items():
+            lead -= v * cols[u][t]
+        c, r = divmod(lead, weyl[t])
+        if r:
+            raise ExactnessError(f"non-integer coefficient at {t!r}")
+        if c:
+            res[t] = c
+    return res
 
 
 @lru_cache(maxsize=None)
-def _down_set(lat: SubgroupClassLattice, c: int) -> tuple:
-    """The classes (L) <= (c), i.e. n(L, c) != 0, top-down."""
-    return tuple(L for L in range(lat.n_classes) if lat.n_table[L][c])
+def _mark_columns(lat: SubgroupClassLattice) -> list:
+    """Per class u, its mark column L -> n(L, u) |W(u)|."""
+    return [[x * w for x in col] for col, w in zip(zip(*lat.n_table), lat.weyl)]
+
+
+@lru_cache(maxsize=None)
+def _generator_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
+    """What `multiply` reads: one entry per unordered pair, since it passes h <= k."""
+    return _solve_product(_mark_columns(lat), lat.weyl, h, k, bits(lat.down[h] & lat.down[k]))
 
 
 def multiplication_table(lat: SubgroupClassLattice) -> dict:
-    """All generator products: `_generator_product` over every pair h <= k."""
-    return {(h, k): _generator_product(lat, h, k)
+    """All generator products (H)*(K), h <= k, in ascending (h, k) order."""
+    cols, down = _mark_columns(lat), lat.down
+    return {(h, k): _solve_product(cols, lat.weyl, h, k, bits(down[h] & down[k]))
             for h in range(lat.n_classes) for k in range(h, lat.n_classes)}

@@ -463,10 +463,10 @@ def cmd_group_tables(cfg: RunConfig) -> int:
     _write_csv(outdir / "subconjugation.csv", ["H", "K", "n(H,K)"],
                ([h, k, count] for h, row in enumerate(lattice.n_table)
                 for k, count in enumerate(row) if count))
-    table = multiplication_table(lattice)
-    _write_csv(outdir / "burnside_products.csv", ["H", "K", "L", "coeff"],
-               ([h, k, low, coeff] for (h, k), prod in sorted(table.items())
-                for low, coeff in sorted(prod.items())))
+    # the table holds its pairs, and each product its classes, in ascending order
+    rows = "".join(f"{h},{k},{low},{coeff}\r\n" for (h, k), prod
+                   in multiplication_table(lattice).items() for low, coeff in prod.items())
+    (outdir / "burnside_products.csv").write_text("H,K,L,coeff\r\n" + rows, newline="")
     if cfg.characters:
         dn = dihedral_group(params.N)
         elems = [dn.elements[i] for i in range(dn.order)]

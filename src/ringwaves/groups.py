@@ -272,6 +272,14 @@ def conjugacy_classes(conjugations, seeds, order):
     return classes
 
 
+def bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def graph_mask(elems, tags, width=1) -> int:
     """Bit k * width + t for each element k with tag t, so that one key lies
     in another (K <= K' with equal tags on K) iff its mask's bits are set."""
@@ -307,23 +315,31 @@ class SubgroupClassLattice:
 
         # n[h][k] = number of conjugates of the class-k rep that contain rep h.
         # H <= gKg^-1 needs |H| to divide |K| and every element of H to be
-        # conjugate into K: `meets` has bit x for each element class, named by
-        # its least element x, that a rep meets, and the conjugates are
-        # counted only where rep h's classes are among rep k's
+        # conjugate into K: `meeting[x]` has bit k for each rep k that meets
+        # the element class named by its least element x, and the conjugates
+        # are counted only for the k in every one of rep h's classes.
+        # `down[k]` has bit h iff n(h, k) != 0: the classes below class k
         least = {}  # element -> least element of its conjugacy class
         for x in range(group.order):
             if x not in least:
                 orbit = generated(self.conjugations, lambda y, perm: perm[y], [x])
                 least.update(dict.fromkeys(orbit, x))
-        meets = [sum(1 << x for x in {least[y] for y in rep}) for rep in self.reps]
+        meeting = dict.fromkeys(least.values(), 0)
+        for k, rep in enumerate(self.reps):
+            for y in rep:
+                meeting[least[y]] |= 1 << k
         masks = [[graph_mask(*key) for key in orbit] for _, orbit, _ in found]
-        orders = [len(rep) for rep in self.reps]
-        self.n_table = tuple(
-            tuple(sum(1 for m in masks[k] if m & want == want)
-                  if order % orders[h] == 0 and not meets[h] & ~meets[k] else 0
-                  for k, order in enumerate(orders))
-            for h, want in enumerate(graph_mask(*key) for key, _, _ in found)
-        )
+        rows, self.down = [], [0] * self.n_classes
+        for h, (key, _, _) in enumerate(found):
+            want, order, row = graph_mask(*key), len(key[0]), [0] * self.n_classes
+            for k in bits(functools.reduce(int.__and__, (meeting[least[y]] for y in key[0]))):
+                if len(self.reps[k]) % order:
+                    continue
+                row[k] = sum(1 for m in masks[k] if m & want == want)
+                if row[k]:
+                    self.down[k] |= 1 << h
+            rows.append(tuple(row))
+        self.n_table = tuple(rows)
 
     def n(self, h: int, k: int) -> int:
         return self.n_table[h][k]

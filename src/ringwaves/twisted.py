@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from .burnside import BurnsideElement, SparseSum, bilinear, solve_marks
 from .errors import ExactnessError
-from .groups import SubgroupClassLattice, build_once, conjugacy_classes, generated, graph_mask
+from .groups import (SubgroupClassLattice, bits, build_once, conjugacy_classes, generated,
+                     graph_mask)
 
 
 class TwistedOrbitType(NamedTuple):
@@ -106,8 +107,9 @@ class TwistedContext:
         self.class_keys = tuple(key for key, _, _ in found)  # canonical (K, turns) per class id
         self._class_ids = {key: i for i, key in enumerate(self.class_keys)}
         self._kclass = [lattice.class_id(key[0]) for key in self.class_keys]  # lattice class of K
-        # per class, one graph mask per conjugate (K', phi'): bit k*L + phi'(k)
-        self._conjugates = [[graph_mask(*key, L) for key in orbit] for _, orbit, _ in found]
+        self._kphis = [[] for _ in lattice.reps]  # class ids per lattice class of K, ascending
+        for kphi, c in enumerate(self._kclass):
+            self._kphis[c].append(kphi)
         self._weyl = [weyl for *_, weyl in found]
 
     @property
@@ -205,21 +207,37 @@ def _n_power_phase(ctx: TwistedContext, kphi1: int, kphi2: int, power: int) -> i
     elems, turns = ctx.class_keys[kphi1]
     L = ctx.denominator
     want = graph_mask(elems, [t * power % L for t in turns], L)
-    return sum(1 for graph in ctx._conjugates[kphi2] if graph & want == want)
+    return sum(1 for graph in _conjugate_masks(ctx, kphi2) if graph & want == want)
+
+
+@lru_cache(maxsize=None)
+def _conjugate_masks(ctx: TwistedContext, kphi: int) -> tuple:
+    """One graph mask per conjugate (K', phi') of class kphi: bit k*L + phi'(k).
+
+    The orbit is regenerated from the canonical key on first use, so no
+    masks are built for classes no count reads; once built they stay in
+    this cache, keyed by the context, and are not freed with it.
+    """
+    [(_, orbit, _)] = conjugacy_classes(ctx.lattice.conjugations, [ctx.class_keys[kphi]],
+                                        ctx.group.order)
+    return tuple(graph_mask(*key, ctx.denominator) for key in orbit)
 
 
 @lru_cache(maxsize=None)
 def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitType):
     """(K) * (H): its mark at a type t of H's folding is n(K_t, K)|W(K)| n(t, H)|W(H)|.
 
-    Types of other foldings, or not under both factors, have mark zero.
+    Types of other foldings, or not under both factors, have mark zero: only
+    the K-classes in the down-sets of both (K) and H's K-class are walked.
     """
     lat = ctx.lattice
     wk, wh = lat.weyl[kcls], ctx.weyl_t(h)
     lead = {}
-    # context class ids are ordered by descending |K|: already top-down
-    for kphi in range(ctx.n_types):
-        t = TwistedOrbitType(kphi, h.l)
-        if (nk := lat.n_table[ctx.k_class(kphi)][kcls]) and (nh := ctx.n_t(t, h)):
-            lead[t] = nk * wk * nh * wh
+    # K-classes low to high is top-down: a type lies strictly below another
+    # only if its K-class does
+    for c in bits(lat.down[kcls] & lat.down[ctx.k_class(h.kphi)]):
+        for kphi in ctx._kphis[c]:
+            t = TwistedOrbitType(kphi, h.l)
+            if nh := ctx.n_t(t, h):
+                lead[t] = lat.n_table[c][kcls] * wk * nh * wh
     return solve_marks(lead, lead.__getitem__, ctx.n_t, ctx.weyl_t)

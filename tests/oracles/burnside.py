@@ -1,13 +1,16 @@
-"""Burnside products recounted from the orbits of (G/H) x (G/K).
+"""Burnside products recounted from the orbits of (G/H) x (G/K), and the
+generator product table by `solve_marks` over dense down-sets.
 
-Independent of the table-of-marks solve in `ringwaves.burnside`.
+The orbit counts are independent of the table-of-marks solve in
+`ringwaves.burnside`; `solve_marks_table` is the dense reference for
+`multiplication_table`, which walks down-set bitmasks instead.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from ringwaves.burnside import BurnsideElement, bilinear
+from ringwaves.burnside import BurnsideElement, bilinear, solve_marks
 from ringwaves.groups import SubgroupClassLattice
 
 from oracles.groups import cayley, conj_set
@@ -84,3 +87,14 @@ def _cosets(group, sub_elems):
             seen.add(coset)
             reps.append(g)
     return reps
+
+
+def solve_marks_table(lat: SubgroupClassLattice) -> dict:
+    """Every generator product (H)*(K), h <= k in ascending order, by one
+    `solve_marks` per pair over the classes (L) below both factors, listed by
+    scanning the rows n(L, .) of the table top-down."""
+    n, w = lat.n_table, lat.weyl
+    down = [[L for L in range(lat.n_classes) if n[L][c]] for c in range(lat.n_classes)]
+    return {(h, k): solve_marks([L for L in down[h] if n[L][k]],
+                                lambda L: n[L][h] * w[h] * n[L][k] * w[k], lat.n, w.__getitem__)
+            for h in range(lat.n_classes) for k in range(h, lat.n_classes)}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -10,7 +11,12 @@ from ringwaves.errors import ExactnessError
 from ringwaves.groups import gamma_prime_lattice
 from ringwaves.reps import character_table
 
-from oracles.burnside import multiply_oracle, orbit_count_product, orbit_count_product_pointwise
+from oracles.burnside import (
+    multiply_oracle,
+    orbit_count_product,
+    orbit_count_product_pointwise,
+    solve_marks_table,
+)
 from oracles.groups import dihedral_lattice
 
 # class ids in the D3 lattice (descending order): 0=(D3), 1=(Z3), 2=(Z2), 3=(1)
@@ -66,6 +72,25 @@ def test_table_equals_oracle_on_sampled_pairs(n):
     rng = random.Random(n)
     for h, k in rng.sample(sorted(table), 200):
         assert orbit_count_product(lat, h, k) == table[(h, k)], (n, h, k)
+
+
+@pytest.mark.parametrize("n", [*range(3, 9), 12])
+def test_table_equals_the_dense_down_set_solve_in_order(n):
+    lat = gamma_prime_lattice(n)
+    table, want = multiplication_table(lat), solve_marks_table(lat)
+    assert list(table) == list(want)
+    for pair, prod in want.items():
+        assert list(table[pair].items()) == list(prod.items()), (n, pair)
+
+
+def test_table_raises_on_an_inexact_division():
+    # one more than the true |W| of the trivial class, on a copy of the lattice
+    lat = copy.copy(gamma_prime_lattice(3))
+    lat.weyl = [*lat.weyl[:-1], lat.weyl[-1] + 1]
+    with pytest.raises(ExactnessError):
+        solve_marks_table(lat)
+    with pytest.raises(ExactnessError):
+        multiplication_table(lat)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

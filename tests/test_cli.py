@@ -941,7 +941,7 @@ def test_no_module_imports_numpy_at_top_level():
 MOVED_OR_DELETED = {
     "maximal_kind_types", "isotropy_types", "fold", "representative", "dihedral_lattice",
     "permutation_isotypic", "TwistedSubgroup", "twisted_fixed_dim", "_twisted_fixed_dims",
-    "_positive_dim_types", "Subgroup", "from_set", "full_class", "folding_signs",
+    "_positive_dim_types", "Subgroup", "from_set", "full_class", "folding_signs", "_down_set",
 }
 
 

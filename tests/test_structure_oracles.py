@@ -184,6 +184,8 @@ def test_lattice_matches_cyclic_extension_and_element_conjugation(build, n):
     assert list(lat.reps) == reps
     assert lat.weyl == weyl
     assert lat.n_table == n_table
+    assert lat.down == [sum(1 << h for h, row in enumerate(n_table) if row[k])
+                        for k in range(lat.n_classes)]
 
 
 @pytest.mark.parametrize("build, n", GROUPS, ids=GROUP_IDS)

@@ -12,10 +12,12 @@ from ringwaves.burnside import BurnsideElement
 from ringwaves.groups import DihedralElement, GammaPrimeElement, gamma_prime_lattice
 from ringwaves.reps import DressedIrrep, GIrrep, character_table
 from ringwaves.twisted import (
+    TwistedContext,
     TwistedOrbitType,
     TwistedSum,
     module_product,
     twisted_context,
+    _conjugate_masks,
     _module_generator_product,
 )
 
@@ -158,7 +160,15 @@ def test_trivial_phi_classes_are_the_lattice_classes(n):
         kphi = ctx._class_ids[rep, (0,) * len(rep)]
         assert ctx.k_class(kphi) == c
         assert ctx.weyl_t(TwistedOrbitType(kphi, 1)) == lat.weyl[c]
-        assert len(ctx._conjugates[kphi]) == class_sizes[c]
+        assert len(_conjugate_masks(ctx, kphi)) == class_sizes[c]
+
+
+def test_conjugate_masks_are_built_on_first_use(lat3):
+    before = _conjugate_masks.cache_info().currsize
+    ctx = TwistedContext(lat3)
+    assert _conjugate_masks.cache_info().currsize == before
+    assert ctx.n_t(TwistedOrbitType(0, 1), TwistedOrbitType(0, 1)) == 1
+    assert _conjugate_masks.cache_info().currsize == before + 1
 
 
 def test_module_identity_action(lat3, ctx3):
@@ -177,6 +187,18 @@ def test_module_product_matches_quotient_oracle(lat3, ctx3):
             h = TwistedOrbitType(kphi, 1)
             want = _module_generator_product(ctx3, kcls, h)
             got = {t: v for t, v in module_product_oracle(ctx3, kcls, h).items() if v}
+            assert got == want, (kcls, kphi)
+
+
+def test_module_product_matches_quotient_oracle_at_n4():
+    # at N = 4 the down-set cut walks few of the 583 (K, phi)-classes
+    lat = gamma_prime_lattice(4)
+    ctx = twisted_context(lat)
+    for kcls in [*range(0, lat.n_classes, 7), lat.n_classes - 1]:
+        for kphi in range(3, ctx.n_types, 16):
+            h = TwistedOrbitType(kphi, 1)
+            want = _module_generator_product(ctx, kcls, h)
+            got = {t: v for t, v in module_product_oracle(ctx, kcls, h).items() if v}
             assert got == want, (kcls, kphi)
 
 
