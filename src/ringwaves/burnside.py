@@ -2,10 +2,10 @@
 
 Every coefficient in the Burnside ring and in its twisted module solves one
 triangular system of marks, sum_u c_u n(t, u) |W(u)| = lead(t), top-down
-with exact division by |W(t)| (`solve_marks`).  A generator product solves
-it over the classes below both factors, and `multiplication_table` collects
-those products over all generator pairs.  `SparseSum` is the integer
-combination both rings' elements are made of.
+with exact division by |W(t)| (`solve_marks`), on precomputed mark columns.
+A generator product solves it over the classes below both factors, and
+`multiplication_table` collects those products over all generator pairs.
+`SparseSum` is the integer combination both rings' elements are made of.
 """
 
 from __future__ import annotations
@@ -16,19 +16,23 @@ from .errors import ExactnessError
 from .groups import SubgroupClassLattice, bits
 
 
-def solve_marks(order, lead, mark, weyl) -> dict:
-    """Nonzero c_t of sum_u c_u mark(t, u) weyl(u) = lead(t), t in `order`.
+def solve_marks(lead: dict, column, weyl) -> dict:
+    """Nonzero c_t of sum_u c_u column(u)[t] = lead[t], t over the keys of `lead`.
 
-    `order` runs top-down, so every u with mark(t, u) != 0 comes before t;
-    each division by weyl(t) must be exact.
+    `column(u)[t]` is the mark n(t, u) |W(u)|, fetched once c_u turns out
+    nonzero.  The keys run top-down, so every u with a nonzero mark at t
+    comes before t; each division by weyl[t] = |W(t)| must be exact.
     """
-    res: dict = {}
-    for t in order:
-        c, r = divmod(lead(t) - sum(v * mark(t, u) * weyl(u) for u, v in res.items()), weyl(t))
+    res, found = {}, []  # found: (column(u), c_u) per nonzero c_u
+    for t, x in lead.items():
+        for col, v in found:
+            x -= v * col[t]
+        c, r = divmod(x, weyl[t])
         if r:
             raise ExactnessError(f"non-integer coefficient at {t!r}")
         if c:
             res[t] = c
+            found.append((column(t), c))
     return res
 
 
@@ -153,45 +157,35 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     return bilinear(a, b, lambda h, k: _generator_product(a.owner, min(h, k), max(h, k)))
 
 
-def _solve_product(cols, weyl, h: int, k: int, below) -> dict:
-    """(H)*(K) = sum n_L (L): the marks of (H)(K) at L are the products of theirs.
-
-    `cols` are the mark columns of `_mark_columns` and `below` the classes
-    below both (H) and (K), the set bits of both down-set masks, low to
-    high, which is top-down: elsewhere the lead is zero, and every mark
-    n(L, U) != 0 of a nonzero c_U has (L) <= (U) <= (H), (K), so the full
-    solve gives zero there too.  It is `solve_marks` with the columns read
-    directly: passing them to `solve_marks` as functions about doubles the
-    time of `multiplication_table`.
-    """
-    col_h, col_k = cols[h], cols[k]
-    res: dict = {}
-    for t in below:
-        lead = col_h[t] * col_k[t]
-        for u, v in res.items():
-            lead -= v * cols[u][t]
-        c, r = divmod(lead, weyl[t])
-        if r:
-            raise ExactnessError(f"non-integer coefficient at {t!r}")
-        if c:
-            res[t] = c
-    return res
-
-
 @lru_cache(maxsize=None)
-def _mark_columns(lat: SubgroupClassLattice) -> list:
+def mark_columns(lat: SubgroupClassLattice) -> list:
     """Per class u, its mark column L -> n(L, u) |W(u)|."""
     return [[x * w for x in col] for col, w in zip(zip(*lat.n_table), lat.weyl)]
 
 
 @lru_cache(maxsize=None)
 def _generator_product(lat: SubgroupClassLattice, h: int, k: int) -> dict:
-    """What `multiply` reads: one entry per unordered pair, since it passes h <= k."""
-    return _solve_product(_mark_columns(lat), lat.weyl, h, k, bits(lat.down[h] & lat.down[k]))
+    """(H)*(K) = sum n_L (L): its marks are the products of theirs.  One entry
+    per unordered pair, since `multiply` passes h <= k.  Only the classes
+    below both, the set bits of both down-set masks low to high (top-down),
+    are solved: elsewhere the lead is zero, and every mark n(L, U) != 0 of a
+    nonzero c_U has (L) <= (U) <= (H), (K), so the full solve gives zero."""
+    cols = mark_columns(lat)
+    col_h, col_k = cols[h], cols[k]
+    lead = {t: col_h[t] * col_k[t] for t in bits(lat.down[h] & lat.down[k])}
+    return solve_marks(lead, cols.__getitem__, lat.weyl)
 
 
 def multiplication_table(lat: SubgroupClassLattice) -> dict:
-    """All generator products (H)*(K), h <= k, in ascending (h, k) order."""
-    cols, down = _mark_columns(lat), lat.down
-    return {(h, k): _solve_product(cols, lat.weyl, h, k, bits(down[h] & down[k]))
-            for h in range(lat.n_classes) for k in range(h, lat.n_classes)}
+    """All generator products (H)*(K), h <= k, in ascending (h, k) order,
+    each solved as in `_generator_product`."""
+    cols, down, weyl = mark_columns(lat), lat.down, lat.weyl
+    column, table = cols.__getitem__, {}
+    for h in range(lat.n_classes):
+        col_h, down_h = cols[h], down[h]
+        for k in range(h, lat.n_classes):
+            col_k, lead = cols[k], {}
+            for t in bits(down_h & down[k]):  # a loop: a comprehension is a call per pair
+                lead[t] = col_h[t] * col_k[t]
+            table[h, k] = solve_marks(lead, column, weyl)
+    return table

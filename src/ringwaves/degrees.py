@@ -9,14 +9,14 @@ modulo the circle.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import getitem
 
-from .burnside import BurnsideElement, solve_marks
+from .burnside import BurnsideElement, mark_columns, solve_marks
 from .errors import ExactnessError
 from .groups import SubgroupClassLattice
 from .reps import DressedIrrep, GIrrep, galois_average
-from .twisted import TwistedContext, TwistedOrbitType, TwistedSum
+from .twisted import TwistedContext, TwistedOrbitType, TwistedSum, mark_column
 
 
 def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
@@ -30,9 +30,8 @@ def _class_fixed_dims(lattice: SubgroupClassLattice, rep: DressedIrrep):
 @lru_cache(maxsize=None)
 def basic_degree(rep: DressedIrrep, lattice: SubgroupClassLattice) -> BurnsideElement:
     """Degree of minus-identity on the unit ball of the dressed irrep."""
-    dims = _class_fixed_dims(lattice, rep)
-    coeffs = solve_marks(range(lattice.n_classes), lambda h: (-1) ** dims[h],
-                         lattice.n, lattice.weyl.__getitem__)
+    lead = {h: (-1) ** d for h, d in enumerate(_class_fixed_dims(lattice, rep))}
+    coeffs = solve_marks(lead, mark_columns(lattice).__getitem__, lattice.weyl)
     return BurnsideElement.from_dict(lattice, coeffs)
 
 
@@ -84,10 +83,10 @@ def twisted_basic_degree(rep: GIrrep, ctx: TwistedContext) -> TwistedSum:
     if rep.m < 1:
         raise ValueError("twisted basic degrees need folding m >= 1")
     # context class ids are sorted by descending |K|: top-down order
-    dims = {TwistedOrbitType(kphi, rep.m): d
-            for kphi, d in enumerate(twisted_fixed_dims(ctx, rep.dressed)) if d > 0}
-    doubled = solve_marks(dims, dims.__getitem__, ctx.n_t, ctx.weyl_t)
-    for t, c in doubled.items():
+    dims = {kphi: d for kphi, d in enumerate(twisted_fixed_dims(ctx, rep.dressed)) if d > 0}
+    doubled = solve_marks(dims, partial(mark_column, ctx), ctx.weyl)
+    coeffs = {TwistedOrbitType(kphi, rep.m): c for kphi, c in doubled.items()}
+    for t, c in coeffs.items():
         if c % 2:
             raise ExactnessError(f"non-integer twisted-degree coefficient at {ctx.type_str(t)}")
-    return TwistedSum.from_dict(ctx, {t: c // 2 for t, c in doubled.items()})
+    return TwistedSum.from_dict(ctx, {t: c // 2 for t, c in coeffs.items()})

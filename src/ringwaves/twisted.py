@@ -18,10 +18,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .burnside import BurnsideElement, SparseSum, bilinear, solve_marks
+from .burnside import BurnsideElement, SparseSum, bilinear, mark_columns, solve_marks
 from .errors import ExactnessError
-from .groups import (SubgroupClassLattice, bits, build_once, conjugacy_classes, generated,
-                     graph_mask)
+from .groups import SubgroupClassLattice, bits, build_once, conjugacy_classes, graph_mask
 
 
 class TwistedOrbitType(NamedTuple):
@@ -31,15 +30,15 @@ class TwistedOrbitType(NamedTuple):
     l: int
 
 
-def _commutator_subgroup(group, gens) -> frozenset:
-    """[K, K] for K = <gens>: the normal closure of the generators' commutators."""
-    mul, inv = group.mul, group.inv
-    seeds = list({mul(group.conj(inv(a), inv(b)), b) for a in gens for b in gens})
-    comm = generated(seeds, mul, [group.identity])
-    while extra := {group.conj(x, c) for x in gens for c in comm}.difference(comm):
-        seeds += extra
-        comm = generated(seeds, mul, comm)
-    return frozenset(comm)
+def _commutator_subgroup(group, elems) -> frozenset:
+    """[K, K] = [D, D] for K's image D in D_N, as the sign factors are central:
+    trivial for a cyclic D, and for a dihedral D whose rotations are the
+    multiples of s, the rotations by multiples of gcd(2s, N)."""
+    n = group.n  # element x reflects iff x // n is odd, and rotates by x % n
+    if not any(x // n & 1 for x in elems):
+        return frozenset([group.identity])
+    s = math.gcd(n, *(x % n for x in elems if not x // n & 1))
+    return frozenset(range(0, n, math.gcd(2 * s, n)))
 
 
 def _circle_homs(group, elems):
@@ -57,7 +56,7 @@ def _circle_homs(group, elems):
     phi(a_i^e b) = e t + phi(b).
     """
     mul = group.mul
-    comm = _commutator_subgroup(group, group.generators(elems))
+    comm = _commutator_subgroup(group, elems)
     chain, levels = comm, []  # levels: (a_i, triples, a_i^o_i, o_i)
     for x in elems:
         if x not in chain:
@@ -110,7 +109,7 @@ class TwistedContext:
         self._kphis = [[] for _ in lattice.reps]  # class ids per lattice class of K, ascending
         for kphi, c in enumerate(self._kclass):
             self._kphis[c].append(kphi)
-        self._weyl = [weyl for *_, weyl in found]
+        self.weyl = [weyl for *_, weyl in found]  # |W(H)/S^1|: phi-preserving normalizer mod K
 
     @property
     def n_types(self) -> int:
@@ -146,10 +145,6 @@ class TwistedContext:
 
     def k_class(self, kphi: int) -> int:
         return self._kclass[kphi]
-
-    def weyl_t(self, t: TwistedOrbitType) -> int:
-        """|W(H)/S^1|: order of the phi-preserving normalizer modulo K."""
-        return self._weyl[t.kphi]
 
     def n_t(self, h: TwistedOrbitType, l_type: TwistedOrbitType) -> int:
         """n(H, L): conjugates of L containing H; (H) <= (L) iff it is > 0."""
@@ -224,6 +219,17 @@ def _conjugate_masks(ctx: TwistedContext, kphi: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def mark_column(ctx: TwistedContext, kphi: int) -> list:
+    """Per class id t, the mark n(t, kphi) |W(kphi)| at equal folding; it can
+    be nonzero only where t's K-class lies below kphi's."""
+    col, w = [0] * ctx.n_types, ctx.weyl[kphi]
+    for c in bits(ctx.lattice.down[ctx.k_class(kphi)]):
+        for t in ctx._kphis[c]:
+            col[t] = _n_power_phase(ctx, t, kphi, 1) * w
+    return col
+
+
+@lru_cache(maxsize=None)
 def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitType):
     """(K) * (H): its mark at a type t of H's folding is n(K_t, K)|W(K)| n(t, H)|W(H)|.
 
@@ -231,13 +237,10 @@ def _module_generator_product(ctx: TwistedContext, kcls: int, h: TwistedOrbitTyp
     the K-classes in the down-sets of both (K) and H's K-class are walked.
     """
     lat = ctx.lattice
-    wk, wh = lat.weyl[kcls], ctx.weyl_t(h)
-    lead = {}
+    col_k, col_h = mark_columns(lat)[kcls], mark_column(ctx, h.kphi)
     # K-classes low to high is top-down: a type lies strictly below another
     # only if its K-class does
-    for c in bits(lat.down[kcls] & lat.down[ctx.k_class(h.kphi)]):
-        for kphi in ctx._kphis[c]:
-            t = TwistedOrbitType(kphi, h.l)
-            if nh := ctx.n_t(t, h):
-                lead[t] = lat.n_table[c][kcls] * wk * nh * wh
-    return solve_marks(lead, lead.__getitem__, ctx.n_t, ctx.weyl_t)
+    below = bits(lat.down[kcls] & lat.down[ctx.k_class(h.kphi)])
+    lead = {kphi: col_k[c] * col_h[kphi] for c in below for kphi in ctx._kphis[c] if col_h[kphi]}
+    coeffs = solve_marks(lead, partial(mark_column, ctx), ctx.weyl)
+    return {TwistedOrbitType(kphi, h.l): v for kphi, v in coeffs.items()}

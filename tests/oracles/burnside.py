@@ -1,16 +1,18 @@
 """Burnside products recounted from the orbits of (G/H) x (G/K), and the
-generator product table by `solve_marks` over dense down-sets.
+generator product table by a dense solve of the marks over dense down-sets.
 
-The orbit counts are independent of the table-of-marks solve in
-`ringwaves.burnside`; `solve_marks_table` is the dense reference for
-`multiplication_table`, which walks down-set bitmasks instead.
+Both are independent of `ringwaves.burnside`: the orbit counts use no marks,
+and `dense_solve` reads every mark from the lattice's n(H, K) table and Weyl
+orders.  `solve_marks_table` is the dense reference for
+`multiplication_table`, which walks down-set bitmasks and mark columns.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from ringwaves.burnside import BurnsideElement, bilinear, solve_marks
+from ringwaves.burnside import BurnsideElement, bilinear
+from ringwaves.errors import ExactnessError
 from ringwaves.groups import SubgroupClassLattice
 
 from oracles.groups import cayley, conj_set
@@ -89,12 +91,29 @@ def _cosets(group, sub_elems):
     return reps
 
 
+def dense_solve(lat: SubgroupClassLattice, order, lead) -> dict:
+    """Nonzero c_L of sum_U c_U n(L, U) |W(U)| = lead(L), L over `order` top-down.
+
+    Every term reads the table n(L, U) and the Weyl orders afresh; each
+    division by |W(L)| must be exact.
+    """
+    n, w = lat.n_table, lat.weyl
+    res = {}
+    for L in order:
+        c, r = divmod(lead(L) - sum(v * n[L][U] * w[U] for U, v in res.items()), w[L])
+        if r:
+            raise ExactnessError(f"non-integer coefficient at {L}")
+        if c:
+            res[L] = c
+    return res
+
+
 def solve_marks_table(lat: SubgroupClassLattice) -> dict:
     """Every generator product (H)*(K), h <= k in ascending order, by one
-    `solve_marks` per pair over the classes (L) below both factors, listed by
+    `dense_solve` per pair over the classes (L) below both factors, listed by
     scanning the rows n(L, .) of the table top-down."""
     n, w = lat.n_table, lat.weyl
     down = [[L for L in range(lat.n_classes) if n[L][c]] for c in range(lat.n_classes)]
-    return {(h, k): solve_marks([L for L in down[h] if n[L][k]],
-                                lambda L: n[L][h] * w[h] * n[L][k] * w[k], lat.n, w.__getitem__)
+    return {(h, k): dense_solve(lat, [L for L in down[h] if n[L][k]],
+                                lambda L: n[L][h] * w[h] * n[L][k] * w[k])
             for h in range(lat.n_classes) for k in range(h, lat.n_classes)}

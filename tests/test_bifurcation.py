@@ -233,7 +233,7 @@ def test_prediction_coefficient_closed_form(params, ctx3):
         sign = rho(quad.m, quad.n, quad.j, quad.k, params, (p.point.alpha, p.point.beta))
         t = generators_to_type(ctx3, p.generators, quad.m)
         dim = twisted_fixed_dims(ctx3, DressedIrrep(isotypic_irreps(3)[quad.j], dressing_bit(quad.n)))[t.kphi]
-        assert p.coeff * 2 * ctx3.weyl_t(t) == sign * dim
+        assert p.coeff * 2 * ctx3.weyl[t.kphi] == sign * dim
 
 
 def test_predict_n7_three_kinds():

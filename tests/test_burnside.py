@@ -8,10 +8,12 @@ import pytest
 from ringwaves import burnside, degrees, twisted
 from ringwaves.burnside import BurnsideElement, multiplication_table, multiply, solve_marks
 from ringwaves.errors import ExactnessError
-from ringwaves.groups import gamma_prime_lattice
-from ringwaves.reps import character_table
+from ringwaves.groups import SubgroupClassLattice, gamma_prime, gamma_prime_lattice
+from ringwaves.reps import DressedIrrep, GIrrep, character_table
+from ringwaves.twisted import TwistedContext, TwistedOrbitType, TwistedSum
 
 from oracles.burnside import (
+    dense_solve,
     multiply_oracle,
     orbit_count_product,
     orbit_count_product_pointwise,
@@ -100,8 +102,8 @@ def test_restricted_solve_equals_solve_over_all_classes(n):
     nt, w = lat.n_table, lat.weyl
     for h in range(lat.n_classes):
         for k in range(h, lat.n_classes):
-            full = solve_marks(range(lat.n_classes), lambda L: nt[L][h] * w[h] * nt[L][k] * w[k],
-                               lat.n, w.__getitem__)
+            full = dense_solve(lat, range(lat.n_classes),
+                               lambda L: nt[L][h] * w[h] * nt[L][k] * w[k])
             assert burnside._generator_product(lat, h, k) == full, (n, h, k)
 
 
@@ -152,12 +154,40 @@ def test_mixed_lattice_rejected(d3):
 
 
 def test_solve_marks_is_exact():
-    # two unknowns: c_0 * 1 * 2 = 2 at the top, then 1 * 1 * 2 + c_1 * 2 = lead(1)
-    order, mark, weyl = (0, 1), (lambda t, u: 1), (lambda t: 2)
-    assert solve_marks(order, {0: 2, 1: 6}.get, mark, weyl) == {0: 1, 1: 2}
-    assert solve_marks(order, {0: 2, 1: 2}.get, mark, weyl) == {0: 1}
+    # two unknowns, every mark 1 and Weyl order 2, so each column entry is 2:
+    # c_0 * 2 = 2 at the top, then 1 * 2 + c_1 * 2 = lead[1]
+    columns, weyl = [[2, 2], [2, 2]], [2, 2]
+    assert solve_marks({0: 2, 1: 6}, columns.__getitem__, weyl) == {0: 1, 1: 2}
+    assert solve_marks({0: 2, 1: 2}, columns.__getitem__, weyl) == {0: 1}
     with pytest.raises(ExactnessError):
-        solve_marks(order, {0: 2, 1: 3}.get, mark, weyl)
+        solve_marks({0: 2, 1: 3}, columns.__getitem__, weyl)
+
+
+class SolveReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat, ctx, rep: burnside.multiplication_table(lat),
+    lambda lat, ctx, rep: multiply(gen(lat, lat.n_classes - 1), gen(lat, lat.n_classes - 1)),
+    lambda lat, ctx, rep: degrees.basic_degree(rep.dressed, lat),
+    lambda lat, ctx, rep: degrees.twisted_basic_degree(rep, ctx),
+    lambda lat, ctx, rep: twisted.module_product(gen(lat, lat.n_classes - 1),
+                                                 TwistedSum.generator(ctx, TwistedOrbitType(0, 1))),
+], ids=["multiplication_table", "multiply", "basic_degree", "twisted_basic_degree",
+        "module_product"])
+def test_every_product_and_degree_solves_through_solve_marks(call, monkeypatch):
+    # one copy of the recurrence: each ring operation reaches `solve_marks`,
+    # on a lattice and context that no cache has seen
+    def reached(*args):
+        raise SolveReached
+
+    for module in (burnside, degrees, twisted):
+        monkeypatch.setattr(module, "solve_marks", reached)
+    lat = SubgroupClassLattice(gamma_prime(3))
+    rep = GIrrep(1, DressedIrrep(character_table(3)[0], 1))
+    with pytest.raises(SolveReached):
+        call(lat, TwistedContext(lat), rep)
 
 
 def test_products_reach_the_traced_module_attributes(d3, monkeypatch):

@@ -321,8 +321,10 @@ def test_readme_group_tables_match_golden(tmp_path, monkeypatch, capsys):
         _assert_same(_read_report(tmp_path / "tables" / name), _read_report(golden / name), name)
 
 
-def test_group_tables_n8_match_golden_digests(tmp_path, monkeypatch, capsys):
-    golden = json.loads((DATA / "group_tables_N8.json").read_text())
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 12])
+def test_group_tables_match_golden_digests(n, tmp_path, monkeypatch, capsys):
+    # the shapes the cold benchmark builds, and N = 12 for the largest table
+    golden = json.loads((DATA / f"group_tables_N{n}.json").read_text())
     monkeypatch.chdir(tmp_path)
     code, _ = run(capsys, *golden["argv"])
     assert code == 0

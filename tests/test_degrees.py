@@ -62,7 +62,7 @@ def test_twisted_degree_w1_v01_single_type(ctx3):
     t = mk[0]
     assert deg.coeff(t) == 1
     assert twisted_fixed_dims(ctx3, rep.dressed)[t.kphi] == 2
-    assert ctx3.weyl_t(t) == 1
+    assert ctx3.weyl[t.kphi] == 1
     assert quotient_weyl_oracle(ctx3, t) == 1
 
 
@@ -90,7 +90,7 @@ def test_maximal_closed_form(ctx3):
             deg = twisted_basic_degree(rep, ctx3)
             for t in maximal_kind_types(rep, ctx3):
                 dim = twisted_fixed_dims(ctx3, rep.dressed)[t.kphi]
-                assert 2 * ctx3.weyl_t(t) * deg.coeff(t) == dim
+                assert 2 * ctx3.weyl[t.kphi] * deg.coeff(t) == dim
 
 
 def _irrep_case(n):

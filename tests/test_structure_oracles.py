@@ -10,7 +10,8 @@ homomorphisms through K^ab.  The oracles here find them by search instead:
   keeps those whose generated subgroup of Z_q x K is a graph;
 - the class oracle conjugates every subgroup by every element;
 - the orbit oracle builds the (K, phi)-classes with Fraction keys and
-  conjugates by every element.
+  conjugates by every element;
+- the commutator oracle closes every commutator of each subgroup.
 Every product here comes from the Cayley table of the element records
 (`oracles.groups.cayley`), never from production's closed form.
 """
@@ -31,7 +32,7 @@ from ringwaves.groups import (
     gamma_prime_lattice,
     generated,
 )
-from ringwaves.twisted import TwistedOrbitType, twisted_context
+from ringwaves.twisted import TwistedOrbitType, _commutator_subgroup, twisted_context
 
 from oracles.groups import cayley
 from oracles.twisted import hom_to_circle, representative
@@ -197,6 +198,15 @@ def test_circle_homs_match_candidate_closure(build, n):
         assert len(set(got)) == len(got) and set(got) == want, sub
 
 
+@pytest.mark.parametrize("build, n", GROUPS, ids=GROUP_IDS)
+def test_commutator_subgroup_closed_form_matches_closure(build, n):
+    group = build(n)
+    oracle = cayley(group)
+    for sub in enumerate_subgroups(group):
+        commutators = {oracle.table[oracle.conj(a, b)][oracle.inverse[b]] for a in sub for b in sub}
+        assert _commutator_subgroup(group, sub) == oracle.closure(sorted(commutators)), sub
+
+
 def fraction_orbit_classes(lattice):
     """(key, Weyl order, K class) per (K, phi)-class, with Fraction keys.
 
@@ -234,7 +244,7 @@ def test_twisted_classes_match_fraction_orbit_build(n):
     for kphi in range(ctx.n_types):
         rep = representative(ctx, TwistedOrbitType(kphi, 1))
         key = (tuple(k for k, _ in rep.phi), tuple(t for _, t in rep.phi))
-        got.append((key, ctx.weyl_t(TwistedOrbitType(kphi, 1)), ctx.k_class(kphi)))
+        got.append((key, ctx.weyl[kphi], ctx.k_class(kphi)))
     assert got == fraction_orbit_classes(lattice)
     assert all(type(t) is int for _, turns in ctx.class_keys for t in turns)
 

@@ -159,7 +159,7 @@ def test_trivial_phi_classes_are_the_lattice_classes(n):
     for c, rep in enumerate(lat.reps):
         kphi = ctx._class_ids[rep, (0,) * len(rep)]
         assert ctx.k_class(kphi) == c
-        assert ctx.weyl_t(TwistedOrbitType(kphi, 1)) == lat.weyl[c]
+        assert ctx.weyl[kphi] == lat.weyl[c]
         assert len(_conjugate_masks(ctx, kphi)) == class_sizes[c]
 
 
@@ -215,7 +215,7 @@ def test_module_product_distributes(lat3, ctx3):
 def test_weyl_oracle_agrees(ctx3):
     for kphi in range(0, ctx3.n_types, 11):
         t = TwistedOrbitType(kphi, 1)
-        assert quotient_weyl_oracle(ctx3, t) == ctx3.weyl_t(t)
+        assert quotient_weyl_oracle(ctx3, t) == ctx3.weyl[t.kphi]
 
 
 def test_fold_linear_and_multiplicative(ctx3):
